@@ -191,6 +191,23 @@ class TestTrace:
         ]) == 0
         assert "run key" in capsys.readouterr().out
 
+    def test_profile_header_reports_trace_machine(self, tmp_path, capsys):
+        """A trace replay runs the header's machine, whatever the flags
+        say; the profile header must name what actually ran."""
+        path = tmp_path / "ss.jsonl"
+        assert main([
+            "trace", "export", "SS", str(path), "--sms", "2",
+            "--scale", "smoke",
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "profile", "Dy-FUSE", f"trace:{path}", "--sms", "8",
+            "--scale", "bench", "--limit", "1",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "(smoke scale, 2 SMs)" in out
+        assert "bench scale" not in out
+
     def test_import_missing_file_fails_cleanly(self, tmp_path, capsys):
         code = main(["trace", "import", str(tmp_path / "nope.jsonl")])
         assert code == 2

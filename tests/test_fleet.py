@@ -30,6 +30,7 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.console import fetch_state, render, run_top
 from repro.service.registry import WorkerRegistry
 from repro.service.server import BackgroundService
+from repro.service.worker import _execute_one
 from repro.telemetry.spans import (
     disable_spans,
     enable_spans,
@@ -220,8 +221,7 @@ class TestWorkerRegistry:
         state = registry.heartbeat({
             "name": "w1", "pid": 777, "host": "nodeA",
             "runs": 3, "errors": 1, "sim_cycles": 9000,
-            "sim_seconds": 4.5, "backends": {"interp": 2, "fast": 1},
-            "arena_hit_rate": 0.75,
+            "sim_seconds": 4.5, "arena_hit_rate": 0.75,
         })
         assert state is not None
         snap = registry.snapshot()["workers"][0]
@@ -231,7 +231,6 @@ class TestWorkerRegistry:
         assert snap["state"] == "live"
         assert snap["sim_cycles"] == 9000
         assert snap["cycles_per_s"] == 2000.0
-        assert snap["backends"] == {"interp": 2, "fast": 1}
         assert snap["arena_hit_rate"] == 0.75
         # the coordinator ledger starts at zero regardless of claims
         assert snap["runs_settled"] == 0
@@ -245,7 +244,7 @@ class TestWorkerRegistry:
         # garbled fields are ignored, not fatal
         state = registry.heartbeat({
             "name": "w", "pid": "not-a-pid", "runs": "many",
-            "sim_seconds": [], "backends": "wrong",
+            "sim_seconds": [],
             "arena_hit_rate": 7.5,  # clamped into [0, 1]
         })
         assert state is not None
@@ -255,14 +254,19 @@ class TestWorkerRegistry:
         assert len(registry) == 1
 
     def test_name_clamped_and_backends_capped(self):
+        # workers from before the single execution engine still report
+        # a per-backend run split; it is capped to nothing (ignored as
+        # an unknown field) while the heartbeat itself is accepted
         _, registry = self.make()
-        registry.heartbeat({
-            "name": "x" * 500,
+        state = registry.heartbeat({
+            "name": "x" * 500, "sim_cycles": 10,
             "backends": {f"b{i}": i for i in range(20)},
         })
+        assert state is not None
         snap = registry.snapshot()["workers"][0]
         assert len(snap["name"]) == 120
-        assert len(snap["backends"]) == 8
+        assert snap["sim_cycles"] == 10
+        assert "backends" not in snap
 
     def test_settle_ledger_is_coordinator_side(self):
         _, registry = self.make()
@@ -339,6 +343,30 @@ class TestFleetEndpoints:
                 with pytest.raises(ServiceError) as excinfo:
                     call()
                 assert excinfo.value.status == 400
+
+    def test_old_worker_backend_telemetry_accepted(self):
+        """A worker from before the single execution engine reports a
+        ``backends`` split in its heartbeats and a ``timing.backend`` in
+        its settle entries; both are ignored, never rejected."""
+        stale = {"name": "old-w", "backends": {"interp": 1}}
+        with BackgroundService(no_store=True, remote=True) as svc:
+            client = ServiceClient(svc.url)
+            assert client.heartbeat(stale) == {"workers": 1}
+            accepted = client.submit(
+                configs="L1-SRAM", workloads="2DCONV",
+                scale="smoke", num_sms=2,
+            )
+            grant = client.lease(worker="old-w", heartbeat=stale)
+            (run,) = grant["runs"]
+            entry = _execute_one(run["key"], run)
+            entry["timing"]["backend"] = "fast"
+            client.settle(grant["lease"], [entry], heartbeat=stale)
+            snapshot = client.wait(accepted["job"], timeout=60)
+            assert snapshot["state"] == "done"
+            assert snapshot["errors"] == 0
+            (worker,) = client.workers()["workers"]
+            assert worker["runs_settled"] == 1
+            assert "backends" not in worker
 
     def test_jobs_list_and_trace_id(self):
         with BackgroundService(no_store=True, workers=1) as svc:
@@ -444,7 +472,6 @@ class TestTwoWorkerFleet:
                     assert run["worker"] in settled_by_worker
                     assert run["timing"]["cycles"] > 0
                     assert run["timing"]["sim_s"] > 0
-                    assert run["timing"]["backend"]
 
                 trace_id = snapshot["trace_id"]
         finally:
@@ -495,8 +522,7 @@ class TestTopConsole:
             "workers": {
                 "workers": [{
                     "name": "w1", "state": "live", "runs_settled": 4,
-                    "errors": 0, "cycles_per_s": 99.0,
-                    "backends": {"interp": 4}, "last_seen_s": 0.5,
+                    "errors": 0, "cycles_per_s": 99.0, "last_seen_s": 0.5,
                 }],
                 "expired_total": 1,
             },

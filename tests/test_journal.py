@@ -519,6 +519,30 @@ class TestRecoveryInProcess:
         assert entry["job"] == job.id
         assert entry["state"] == "done"
 
+    def test_journal_with_backend_field_replays(self, tmp_path):
+        # journals written while an execution-backend knob existed
+        # carry "backend" in the accepted request; replay ignores it
+        journal = tmp_path / "journal.jsonl"
+        job = make_job()
+        fields = accepted_fields(job)
+        fields["request"]["backend"] = "fast"
+        writer = JobJournal(journal)
+        writer.append(EV_JOB_ACCEPTED, **fields)
+        writer.close()
+        with BackgroundService(
+            workers=1, no_store=True, journal=str(journal),
+        ) as svc:
+            recovered = svc.service.scheduler.recovered
+            assert recovered["requeued_jobs"] == 1
+            assert recovered["unrecoverable_jobs"] == 0
+            snap = ServiceClient(svc.url).wait(job.id, timeout=120)
+            assert snap["state"] == "done"
+            assert snap["fresh"] == 1
+            assert snap["errors"] == 0
+        (entry,) = load_journal(journal).completed()
+        assert entry["job"] == job.id
+        assert entry["state"] == "done"
+
     def test_unrecoverable_entry_skipped(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
         job = make_job()

@@ -127,6 +127,7 @@ class TestSweepRequest:
         {"num_sms": 0},
         {"num_sms": 100_000_000},  # one request must not OOM the workers
         {"typo_field": 1},
+        {"backend": "fast"},  # older clients picked an execution engine
     ])
     def test_invalid_payloads_rejected(self, bad):
         with pytest.raises(InvalidRequest):
