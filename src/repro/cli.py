@@ -25,8 +25,9 @@ first:
   the model's).
 * ``serve``   -- run the HTTP job service (``docs/service-api.md``):
   sweeps over the wire, single-flight dedup, results served from the
-  store.  ``--remote`` turns it into a lease-granting scheduler that
-  dispatches runs to pulling workers (``docs/distributed.md``).
+  store.  Runs execute on in-process lease consumers; ``--remote``
+  starts none and leaves them to pulling workers
+  (``docs/distributed.md``).
 * ``submit``  -- send a sweep to a running service and stream its
   progress to completion (the client side of ``serve``).
 * ``worker``  -- pull leased runs from a ``serve --remote`` scheduler,
@@ -233,8 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=None,
-        help="engine worker processes (default: REPRO_WORKERS or CPU "
-             "count)",
+        help="in-process lease consumers, each executing one run at a "
+             "time (default: REPRO_WORKERS or CPU count)",
     )
     serve.add_argument(
         "--queue", type=int, default=None,
@@ -262,8 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--remote", action="store_true",
-        help="dispatch runs to pulling `repro worker` processes over "
-             "the lease protocol instead of simulating in-process "
+        help="start no in-process consumers: pulling `repro worker` "
+             "processes execute the runs over the lease protocol "
              "(also REPRO_SERVICE_REMOTE=1; see docs/distributed.md)",
     )
     serve.add_argument(
@@ -816,13 +817,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store_backend=args.store_backend,
         journal=args.journal,
     )
-    store = service.scheduler.engine.store
+    store = service.scheduler.store
 
     def announce(svc) -> None:
-        mode = (
-            "remote (workers pull leases)" if svc.scheduler.remote
-            else f"workers {svc.scheduler.engine.workers}"
-        )
+        local = svc.scheduler.local_workers
+        mode = f"workers {local}" if local else "remote (workers pull leases)"
         journal = svc.scheduler.journal
         print(
             f"repro service on http://{svc.host}:{svc.port} "

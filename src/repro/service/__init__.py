@@ -9,13 +9,14 @@ standard library (``asyncio`` server, ``urllib`` client):
   a content hash over the sorted :class:`~repro.engine.spec.RunKey`
   digests, so *what* is being asked for -- not *when* or *by whom* --
   names the job.
-* :mod:`repro.service.scheduler` -- a bounded async job queue bridging
-  to :class:`~repro.engine.engine.ExperimentEngine` workers off the
-  event loop, with **single-flight coalescing**: concurrent identical
-  jobs collapse to one execution, overlapping run keys attach to
-  in-flight work, and completed keys are served straight from the
+* :mod:`repro.service.scheduler` -- a bounded async job queue with
+  **single-flight coalescing**: concurrent identical jobs collapse to
+  one execution, overlapping run keys attach to in-flight work, and
+  completed keys are served straight from the
   :class:`~repro.engine.store.ResultStore` -- a warm store answers with
-  zero simulations.
+  zero simulations.  Everything else runs through one path: the lease
+  queue, consumed by in-process ``local-<i>`` tasks or remote workers,
+  and one settle coroutine.
 * :mod:`repro.service.server` -- minimal HTTP/1.1 on
   ``asyncio.start_server``: submit sweeps, poll jobs, stream progress
   over SSE, fetch results by run key, health and metrics endpoints,
@@ -25,13 +26,14 @@ standard library (``asyncio`` server, ``urllib`` client):
   :class:`~repro.service.client.ServiceClient` with submit / poll /
   stream helpers (what ``repro submit`` uses).
 * :mod:`repro.service.leases` + :mod:`repro.service.worker` -- the
-  distributed fabric.  In remote mode (``repro serve --remote``) the
-  scheduler queues run keys on a TTL-leased pull protocol instead of
-  executing them; ``repro worker --url`` processes lease batches,
-  execute them through :func:`~repro.engine.spec.execute_spec` and
-  settle outcomes back, with lease expiry re-queueing a crashed
-  worker's runs.  Single-flight holds fleet-wide: the run-key lease is
-  the coalescing layer, so two workers can never simulate one key.
+  lease fabric.  The scheduler queues run keys on a TTL-leased pull
+  protocol; its local consumers lease them in-process, and in remote
+  mode (``repro serve --remote``, no local consumers) ``repro worker
+  --url`` processes lease batches over HTTP.  Both execute through
+  :func:`~repro.engine.spec.execute_spec` and settle outcomes back,
+  with lease expiry re-queueing a crashed worker's runs.  Single-flight
+  holds fleet-wide: the run-key lease is the coalescing layer, so two
+  workers can never simulate one key.
 * :mod:`repro.service.journal` + :mod:`repro.service.retry` --
   coordinator crash-safety.  ``repro serve --journal PATH``
   write-ahead-journals every job lifecycle event to an append-only

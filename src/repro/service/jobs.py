@@ -11,8 +11,8 @@ spelled their request.  Resubmitting a finished job re-executes it
 under the same id (cheaply: every key hits the result store).
 
 A :class:`Job` moves through ``queued -> running -> done|failed`` and
-mirrors per-run progress from the engine's streaming outcome callback:
-each distinct run settles exactly once with a *source* --
+mirrors per-run progress as the scheduler settles its runs: each
+distinct run settles exactly once with a *source* --
 
 * ``store`` -- served from cache (the on-disk result store or the
   scheduler's in-memory mirror) without simulating;
@@ -21,9 +21,9 @@ each distinct run settles exactly once with a *source* --
   simulating the same run key (single-flight);
 * ``error`` -- the run raised (traceback preserved).
 
-``failed`` is reserved for wholesale failures (the engine call itself
-raised, or every run errored); a job with partial per-run errors still
-finishes ``done`` so the surviving results are usable.
+``failed`` is reserved for jobs whose every run errored; a job with
+partial per-run errors still finishes ``done`` so the surviving results
+are usable.
 """
 
 from __future__ import annotations
@@ -296,8 +296,7 @@ class Job:
 
     Holds the distinct (run key -> spec) slice, the lifecycle state and
     the per-run settlement ledger the HTTP layer snapshots from.  All
-    mutation happens on the event loop thread (the scheduler marshals
-    engine-thread callbacks across), so no locking is needed.
+    mutation happens on the event loop thread, so no locking is needed.
     """
 
     def __init__(self, request: SweepRequest, specs: Sequence[RunSpec]):
@@ -360,13 +359,10 @@ class Job:
         if error is not None:
             self.counters["errors"] += 1
 
-    def finish(self, error: Optional[str] = None) -> None:
-        """Close the job: ``failed`` on a wholesale error (or when every
-        run errored), ``done`` otherwise."""
-        if error is not None:
-            self.state = "failed"
-            self.error = error
-        elif self.counters["total"] and (
+    def finish(self) -> None:
+        """Close the job: ``failed`` when every run errored, ``done``
+        otherwise."""
+        if self.counters["total"] and (
             self.counters["errors"] == self.counters["total"]
         ):
             self.state = "failed"
@@ -401,8 +397,8 @@ class Job:
                     "workload": run.workload, "state": run.state,
                     "source": run.source, "error": run.error,
                 }
-                # fleet attribution only when a worker settled the run,
-                # so local-mode snapshots keep their historical shape
+                # attribution only when a consumer settled the run
+                # (store hits and coalesced runs have none)
                 if run.worker is not None:
                     entry["worker"] = run.worker
                 if run.timing is not None:

@@ -14,19 +14,19 @@ skipped on read, never fatal.  Every line is one lifecycle event:
   without re-hashing the file).
 * ``run_settled``   -- one per distinct run (key, source, error).
 * ``job_done``      -- terminal state (``done``/``failed``).
-* ``lease_granted`` / ``lease_expired`` -- remote-mode lease traffic,
-  informational (replay derives nothing from them: every lease of a
-  dead incarnation is expired by construction on restart).
+* ``lease_granted`` / ``lease_expired`` -- lease traffic of remote
+  workers and local consumers alike, informational (replay derives
+  nothing from them: every lease of a dead incarnation is expired by
+  construction on restart).
 
 Replay (:func:`replay_journal`) is a pure fold over the event stream:
 jobs whose last event is ``job_done`` are restored straight into
 history; jobs accepted but unfinished are re-queued through the normal
 scheduler path, where settled keys are served warm from the
 :class:`~repro.engine.store.ResultStore` and only the genuinely
-unfinished remainder simulates again (or re-enters the lease queue in
-remote mode).  Journaled *error* settles are deliberately not replayed
--- a restart is exactly the right moment to retry a run that died with
-its worker.
+unfinished remainder re-enters the lease queue.  Journaled *error*
+settles are deliberately not replayed -- a restart is exactly the right
+moment to retry a run that died with its worker.
 
 Single-writer discipline mirrors the store's flock story: the journal
 file holds an exclusive ``flock`` for the life of the coordinator, so

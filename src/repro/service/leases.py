@@ -1,10 +1,12 @@
 """Run-key leases: fleet-wide single-flight for pulled work.
 
-In remote mode the scheduler does not execute runs itself -- worker
-processes pull batches of pending :class:`~repro.engine.spec.RunSpec`\\ s
-over HTTP (``POST /v1/leases``), execute them through the same
+Every run the scheduler executes is pulled through here: consumers --
+the scheduler's in-process ``local-<i>`` tasks, or ``repro worker``
+processes over HTTP (``POST /v1/leases``) -- lease batches of pending
+:class:`~repro.engine.spec.RunSpec`\\ s, execute them through the same
 ``execute_spec`` path as a local sweep, and settle the outcomes back
-(``POST /v1/leases/{id}/settle``).  The lease is the unit of exclusivity:
+(``POST /v1/leases/{id}/settle`` for workers).  The lease is the unit
+of exclusivity:
 
 * a run key sits in exactly one place at a time -- the **pending**
   queue, one active **lease**, or settled -- so two workers can never

@@ -1,4 +1,4 @@
-"""Bounded async job queue bridging the event loop to the engine.
+"""Bounded async job queue over the run-key lease fabric.
 
 The scheduler owns the three layers of single-flight coalescing that
 let a busy service do dramatically less work than it is asked for:
@@ -12,30 +12,30 @@ let a busy service do dramatically less work than it is asked for:
    waits on);
 3. **completed-key level** -- keys already settled are served from
    cache: the scheduler's in-memory record mirror first, then the
-   engine's :class:`~repro.engine.store.ResultStore` (the engine's own
-   store lookup).  A warm store answers a whole sweep with **zero**
-   simulations.
+   :class:`~repro.engine.store.ResultStore`.  A warm store answers a
+   whole sweep with **zero** simulations.
 
-Engine execution happens *off the event loop* in a thread-pool executor
-(the engine itself fans out across worker processes); a lock serialises
-engine entries because :class:`~repro.engine.store.ResultStore`'s
-batched append handle is not thread-safe.  Jobs beyond ``max_active``
-wait in a bounded FIFO queue; submissions past ``max_queue`` raise
-:class:`QueueFull`, which the HTTP layer turns into 429 backpressure.
+Every run the service executes goes through one path: a job's
+remaining keys are queued on a :class:`~repro.service.leases.
+LeaseManager` (in trace-key order, so consecutive runs replay one
+packed arena), a consumer leases them, executes each through
+:func:`~repro.service.worker._execute_one`, and hands the outcome to
+:meth:`JobScheduler.settle` -- claim, persist to the store, settle the
+owning jobs.  Consumers are either ``repro worker`` processes pulling
+over HTTP (``repro serve --remote``: zero local consumers) or
+``local_workers`` in-process asyncio tasks named ``local-<i>``, which
+run on a process pool (one thread-executor run at a time when
+``local_workers`` is 1).  Local leases take the maximum TTL
+(:data:`~repro.service.leases.MAX_LEASE_TTL_S`, one hour): a local
+consumer cannot die apart from its coordinator, so only a run longer
+than that is ever re-leased.  A reaper task expires overdue leases back
+into the queue so no job hangs on a crashed worker.
 
-All scheduler state is mutated on the event loop thread only -- the
-engine thread's streaming callbacks are marshalled across with
-``call_soon_threadsafe`` -- so there are no locks around job state.
-
-**Remote mode** (``remote=True``, ``repro serve --remote``) replaces
-the in-process engine dispatch with the worker-pull fabric: a job's
-non-coalesced keys are queued on a :class:`~repro.service.leases.
-LeaseManager` instead of entering the engine, ``repro worker``
-processes lease them over HTTP, and their settlements flow through the
-same per-key futures, counters and SSE events as a local engine
-outcome.  Coalescing layers 1--3 are unchanged (the run-key lease *is*
-layer 2, now fleet-wide), and a reaper task on the event loop expires
-dead workers' leases back into the queue so no job hangs on a crash.
+Jobs beyond ``max_active`` wait in a bounded FIFO queue; submissions
+past ``max_queue`` raise :class:`QueueFull`, which the HTTP layer turns
+into 429 backpressure.  All scheduler state is mutated on the event
+loop thread only, so there are no locks around job state; store writes
+run on one dedicated thread, which serialises them.
 
 With a :class:`~repro.service.journal.JobJournal` attached, every
 lifecycle transition is journaled -- acceptance (write-ahead: before
@@ -49,14 +49,16 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import math
 import sys
-import threading
 import time
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.engine.engine import ExperimentEngine, RunOutcome
-from repro.engine.serialize import result_to_dict
-from repro.engine.spec import RunSpec, spec_to_dict
+from repro.engine.engine import _pool_worker_init
+from repro.engine.spec import RunSpec, spec_to_dict, trace_key
+from repro.engine.store import ResultStore
 from repro.service.jobs import Job, SweepRequest
 from repro.service.journal import (
     EV_JOB_ACCEPTED,
@@ -72,9 +74,11 @@ from repro.service.leases import (
     DEFAULT_LEASE_RUNS,
     DEFAULT_LEASE_TTL_S,
     MAX_ATTEMPTS,
+    MAX_LEASE_TTL_S,
     LeaseManager,
 )
 from repro.service.registry import WorkerRegistry
+from repro.service.worker import _execute_one
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import record_span
 from repro.telemetry.tracectx import (
@@ -106,36 +110,55 @@ class Draining(RuntimeError):
     """The service is shutting down and takes no new work (HTTP 503)."""
 
 
+def _settle_timing(raw) -> Optional[Dict[str, float]]:
+    """A settle entry's ``timing`` as finite, non-negative numbers, or
+    ``None`` when it is missing or unparseable (ignored either way)."""
+    if not isinstance(raw, dict):
+        return None
+    try:
+        sim_s = float(raw.get("sim_s", 0.0))
+        cycles = int(raw.get("cycles", 0))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if not math.isfinite(sim_s):
+        return None
+    return {"sim_s": max(0.0, sim_s), "cycles": max(0, cycles)}
+
+
 class JobScheduler:
-    """Single-flight job execution over an :class:`ExperimentEngine`.
+    """Single-flight job execution over the run-key lease queue.
 
     Args:
-        engine: executes the non-coalesced remainder of every job; its
-            store (if any) is the durable cache layer.
+        store: the durable cache layer every fresh result is persisted
+            to (``None`` keeps results in memory only).
+        local_workers: in-process lease consumers; ``0`` leaves every
+            run to ``repro worker`` processes pulling over HTTP.
         max_queue: waiting-job bound (:class:`QueueFull` past it).
         max_active: concurrently executing job bound.
         result_cache: in-memory completed-record bound (LRU).
         job_history: finished jobs retained for later GETs.
-        remote: dispatch runs to pulling workers (lease protocol)
-            instead of the in-process engine.
-        lease_reap_interval: reaper tick for expiring dead leases
-            (remote mode only).
+        lease_reap_interval: reaper tick for expiring dead leases.
         journal: write-ahead job journal for crash recovery (``None``
             keeps behaviour byte-identical to an unjournaled service).
     """
 
+    #: executes one leased run (wire form) into its settle entry, off
+    #: the event loop; must be picklable for the process pool
+    execute_run = staticmethod(_execute_one)
+
     def __init__(
         self,
-        engine: ExperimentEngine,
+        store: Optional[ResultStore] = None,
+        local_workers: int = 0,
         max_queue: int = DEFAULT_MAX_QUEUE,
         max_active: int = DEFAULT_MAX_ACTIVE,
         result_cache: int = DEFAULT_RESULT_CACHE,
         job_history: int = DEFAULT_JOB_HISTORY,
-        remote: bool = False,
         lease_reap_interval: float = 0.25,
         journal: Optional[JobJournal] = None,
     ) -> None:
-        self.engine = engine
+        self.store = store
+        self.local_workers = max(0, int(local_workers))
         self.max_queue = max(0, max_queue)
         self.max_active = max(1, max_active)
         self.jobs: Dict[str, Job] = {}
@@ -153,14 +176,20 @@ class JobScheduler:
         self._record_limit = max(0, result_cache)
         self._job_history = max(0, job_history)
         self._subscribers: Dict[str, List[asyncio.Queue]] = {}
-        # engine entries are serialised: the store's batched handle (and
-        # the engine's settle bookkeeping) is single-threaded by design
-        self._engine_lock = threading.Lock()
-        self.remote = bool(remote)
+        # the store's append handles are single-threaded by design, so
+        # every settle's write goes through this one thread
+        self._store_io = ThreadPoolExecutor(
+            1, thread_name_prefix="repro-store"
+        )
         self.leases = LeaseManager()
         self.workers = WorkerRegistry()
         self._reap_interval = max(0.05, float(lease_reap_interval))
         self._reaper: Optional[asyncio.Task] = None
+        self._consumers: List[asyncio.Task] = []
+        #: set whenever keys enter the pending queue (consumers wake on it)
+        self._work = asyncio.Event()
+        #: lazily created pool the local consumers execute runs on
+        self._pool: Optional[ProcessPoolExecutor] = None
         # per-scheduler registry: concurrent services in one process
         # (tests run many) must never see each other's counters.  The
         # HTTP layer renders this together with the process-wide
@@ -181,9 +210,8 @@ class JobScheduler:
             )
         }
         self._register_gauges()
-        if self.remote:
-            self._register_lease_metrics()
-            self._register_fleet_metrics()
+        self._register_lease_metrics()
+        self._register_fleet_metrics()
         self.journal = journal
         #: recovery summary after :meth:`recover` (None until then)
         self.recovered: Optional[Dict[str, int]] = None
@@ -206,15 +234,14 @@ class JobScheduler:
             "Unsettled runs of recovered jobs re-queued at startup")
 
     def _register_lease_metrics(self) -> None:
-        """Lease-fabric accounting, registered only in remote mode so a
-        local service's exposition is unchanged."""
+        """Lease-fabric accounting (every executed run is leased)."""
         self._lease_granted = self.registry.counter(
-            "repro_lease_granted", "Leases granted to pulling workers")
+            "repro_lease_granted", "Leases granted to consumers")
         self._lease_runs_leased = self.registry.counter(
             "repro_lease_runs_leased", "Run keys handed out under leases")
         self._lease_settled = self.registry.counter(
             "repro_lease_settled",
-            "Worker-settled run keys by outcome",
+            "Consumer-settled run keys by outcome",
             labelnames=("outcome",),
         )
         self._lease_expired = self.registry.counter(
@@ -223,16 +250,15 @@ class JobScheduler:
             "repro_lease_requeued_runs",
             "Run keys returned to the pending queue by lease expiry")
         self.registry.gauge(
-            "repro_lease_active", "Leases currently held by workers"
+            "repro_lease_active", "Leases currently held by consumers"
         ).set_function(lambda: self.leases.active_leases)
         self.registry.gauge(
-            "repro_lease_pending_runs", "Run keys awaiting a worker"
+            "repro_lease_pending_runs", "Run keys awaiting a consumer"
         ).set_function(lambda: self.leases.pending_runs)
 
     def _register_fleet_metrics(self) -> None:
-        """Fleet-level aggregation over the worker registry, registered
-        only in remote mode so a local service's exposition is
-        unchanged (same gating as the lease families)."""
+        """Fleet-level aggregation over the worker registry (local
+        consumers register as ``local-<i>`` workers)."""
         fleet_workers = self.registry.gauge(
             "repro_fleet_workers",
             "Registered workers by liveness state",
@@ -298,13 +324,13 @@ class JobScheduler:
                     1 for job in self.jobs.values() if job.state == state
                 )
             )
-        if self.engine.store is not None:
+        if self.store is not None:
             self.registry.gauge(
                 "repro_service_store_records", "Live result-store records"
-            ).set_function(lambda: self.engine.store.info()["records"])
+            ).set_function(lambda: self.store.info()["records"])
             self.registry.gauge(
                 "repro_service_store_size_bytes", "Result-store file size"
-            ).set_function(lambda: self.engine.store.info()["size_bytes"])
+            ).set_function(lambda: self.store.info()["size_bytes"])
 
     def _store_hit_rate(self) -> float:
         served = (
@@ -342,13 +368,13 @@ class JobScheduler:
         immediately); jobs accepted but unfinished are re-queued
         through the normal execution path, where keys already settled
         into the :class:`~repro.engine.store.ResultStore` serve warm
-        and only the true remainder simulates again (or re-enters the
-        lease queue in remote mode).  Journaled *error* settles re-run
-        rather than replaying -- a restart retries runs that died with
-        the previous incarnation.  Leases of the dead incarnation are
-        expired by construction: the :class:`~repro.service.leases.
-        LeaseManager` starts empty, so a surviving worker's late settle
-        hits the settle-pending/410 path exactly like a reaped lease.
+        and only the true remainder re-enters the lease queue.
+        Journaled *error* settles re-run rather than replaying -- a
+        restart retries runs that died with the previous incarnation.
+        Leases of the dead incarnation are expired by construction:
+        the :class:`~repro.service.leases.LeaseManager` starts empty,
+        so a surviving worker's late settle hits the settle-pending/410
+        path exactly like a reaped lease.
 
         Recovered jobs bypass the waiting-queue bound: they were
         accepted once and must not bounce with 429 semantics.
@@ -517,8 +543,7 @@ class JobScheduler:
         job.mark_running()
         self._emit(job, {"event": "state", "state": "running"})
 
-        dispatch: List[RunSpec] = []
-        owned: List[str] = []
+        owned: Dict[str, RunSpec] = {}
         attached: Dict[str, asyncio.Future] = {}
         for key, spec in job.specs.items():
             inflight = self._inflight.get(key)
@@ -529,48 +554,24 @@ class JobScheduler:
             elif key in self._records:
                 self._records.move_to_end(key)
                 self._settle(job, key, "store")
-            elif self.remote and self._stored_record(key) is not None:
-                # locally the engine's own store lookup serves this; in
-                # remote mode nothing enters the engine, so the store
-                # check happens here before a key is queued for workers
+            elif self._stored_record(key) is not None:
                 self._settle(job, key, "store")
             else:
-                dispatch.append(spec)
-                owned.append(key)
+                owned[key] = spec
                 self._inflight[key] = self._loop.create_future()
 
-        failure: Optional[str] = None
-        if dispatch and self.remote:
-            await self._run_remote(job, dispatch, owned)
-        elif dispatch:
-            loop = self._loop
-
-            def on_outcome(outcome: RunOutcome) -> None:
-                # engine thread -> event loop
-                loop.call_soon_threadsafe(
-                    self._settle_from_engine, job, outcome
-                )
-
-            def call() -> None:
-                with self._engine_lock:
-                    self.engine.run_specs(
-                        dispatch, progress=None, on_outcome=on_outcome
-                    )
-
-            try:
-                await loop.run_in_executor(None, call)
-            except Exception as error:  # wholesale engine failure
-                failure = f"{type(error).__name__}: {error}"
-            # resolve any still-open owned keys (normally none; on a
-            # wholesale failure the attached jobs must not hang)
-            for key in owned:
-                future = self._inflight.pop(key, None)
-                if future is None:
-                    continue
-                message = failure or "engine returned without settling"
-                self._settle(job, key, "error", message)
-                if not future.done():
-                    future.set_result(("error", message))
+        if owned:
+            self._ensure_consumers()
+            # hold references now: settlement pops the futures from
+            # _inflight (settle(), or the reaper's abandon branch)
+            futures = [self._inflight[key] for key in owned]
+            # trace-key order, as the engine dispatches: consecutive
+            # runs replay one packed arena instead of thrashing
+            for key in sorted(owned, key=lambda key: trace_key(owned[key])):
+                self.leases.add(key, (owned[key], job))
+            self._work.set()
+            for future in futures:
+                await future
 
         for key, future in attached.items():
             source, error = await future
@@ -578,7 +579,7 @@ class JobScheduler:
                 job, key, "coalesced" if error is None else "error", error
             )
 
-        job.finish(failure)
+        job.finish()
         self._journal_event(
             EV_JOB_DONE, job=job.id, state=job.state, error=job.error
         )
@@ -588,19 +589,17 @@ class JobScheduler:
                 args={
                     "job": job.id[:12], "state": job.state,
                     "total": job.counters["total"],
-                    "dispatched": len(dispatch), "attached": len(attached),
+                    "dispatched": len(owned), "attached": len(attached),
                 },
             )
         self._emit(job, {"event": "done", "job": job.snapshot()})
 
-    # ------------------------------------------------------------------
-    # remote mode: lease-based worker-pull dispatch
     def _stored_record(self, key: str) -> Optional[dict]:
-        """Store lookup for remote dispatch (mirrors the hit into the
-        in-memory record cache so later jobs skip the store)."""
-        if self.engine.store is None:
+        """Store lookup before a key is queued (mirrors the hit into
+        the in-memory record cache so later jobs skip the store)."""
+        if self.store is None:
             return None
-        stored = self.engine.store.record(key)
+        stored = self.store.record(key)
         if stored is None:
             return None
         self._remember(key, {
@@ -610,28 +609,50 @@ class JobScheduler:
         })
         return stored
 
-    async def _run_remote(
-        self, job: Job, dispatch: List[RunSpec], owned: List[str]
-    ) -> None:
-        """Queue this job's owned keys for workers and await settlement.
-
-        The settle path (:meth:`claim_settlements` /
-        :meth:`finish_settlements`, and the reaper's abandon branch)
-        does the actual settling and resolves each key's in-flight
-        future; this coroutine only waits for all of them, exactly as
-        the local branch waits for the engine call to return.
-        """
-        self._ensure_reaper()
-        for key, spec in zip(owned, dispatch):
-            self.leases.add(key, (spec, job))
-        # hold references now: settlement pops the futures from _inflight
-        futures = [self._inflight[key] for key in owned]
-        for future in futures:
-            await future
-
-    def _ensure_reaper(self) -> None:
+    # ------------------------------------------------------------------
+    # lease consumers: the reaper plus the in-process local workers
+    def _ensure_consumers(self) -> None:
         if self._reaper is None or self._reaper.done():
             self._reaper = self._loop.create_task(self._reap_loop())
+        if not self._consumers:
+            self._consumers = [
+                self._loop.create_task(self._consume(f"local-{index}"))
+                for index in range(self.local_workers)
+            ]
+
+    async def _consume(self, name: str) -> None:
+        """One in-process consumer: lease a run, execute it off the
+        loop, settle it -- the loop a ``repro worker`` runs over HTTP."""
+        while True:
+            grant = self.grant_lease(name, max_runs=1, ttl=MAX_LEASE_TTL_S)
+            if grant is None:
+                self._work.clear()
+                await self._work.wait()
+                continue
+            (run,) = grant["runs"]
+            pool = self._run_pool()
+            try:
+                outcome = await self._loop.run_in_executor(
+                    pool, self.execute_run, run["key"], run
+                )
+            except Exception as error:
+                if isinstance(error, BrokenProcessPool) and self._pool is pool:
+                    self._pool = None  # a pool process died: start afresh
+                outcome = {
+                    "key": run["key"],
+                    "error": f"{type(error).__name__}: {error}",
+                }
+            await self.settle(grant["lease"], [outcome], worker=name)
+
+    def _run_pool(self) -> Optional[ProcessPoolExecutor]:
+        """The executor local runs use: a process pool for more than one
+        consumer, else ``None`` (the default thread executor -- the
+        engine's serial mode)."""
+        if self.local_workers > 1 and self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                self.local_workers, initializer=_pool_worker_init
+            )
+        return self._pool
 
     async def _reap_loop(self) -> None:
         while True:
@@ -645,7 +666,7 @@ class JobScheduler:
         silent past the registry's expiry window are dropped on the
         same tick."""
         dead_workers = self.workers.expire()
-        if dead_workers and self.remote:
+        if dead_workers:
             self._fleet_expired.inc(len(dead_workers))
         reaped, abandoned = self.leases.expire()
         if not reaped:
@@ -659,6 +680,7 @@ class JobScheduler:
         requeued = sum(len(lease.runs) for lease in reaped) - len(abandoned)
         if requeued:
             self._lease_requeued.inc(requeued)
+            self._work.set()
         for key, (spec, job) in abandoned:
             message = (
                 f"abandoned after {MAX_ATTEMPTS} lease attempts "
@@ -713,22 +735,48 @@ class JobScheduler:
             "draining": self.draining,
         }
 
-    def claim_settlements(
+    async def settle(
+        self, lease_id: str, runs: List[dict], worker: Optional[str] = None
+    ) -> Dict[str, object]:
+        """Settle leased outcomes: claim, persist, finish.
+
+        The one settle path: ``POST /v1/leases/{id}/settle`` and the
+        local consumers both end here.  *runs* are settle entries
+        (``{"key", "result"|"error", "timing"?}``); *worker* names the
+        settler when the lease no longer does.  Every key claimed is
+        settled before this returns: a failed store write settles the
+        claimed keys as errors carrying the exception text.
+
+        Returns the claim: ``accepted`` tuples, ``duplicates``,
+        ``lease_known``, ``worker`` and the lease's ``remaining`` count.
+        """
+        claim = self._claim_settlements(lease_id, runs)
+        accepted = claim["accepted"]
+        if accepted and self.store is not None:
+            try:
+                await asyncio.get_running_loop().run_in_executor(
+                    self._store_io, self._persist, accepted
+                )
+            except Exception as error:
+                message = f"result store write failed: {error!r}"
+                accepted = [
+                    (key, spec, job, None, run_error or message, timing)
+                    for key, spec, job, _result, run_error, timing in accepted
+                ]
+        self._finish_settlements(
+            accepted, claim["worker"] or worker or "unknown"
+        )
+        return claim
+
+    def _claim_settlements(
         self, lease_id: str, runs: List[dict]
     ) -> Dict[str, object]:
-        """Settle phase 1 (event loop): pop each reported key from its
-        lease -- or from the pending queue, where a reaped lease's keys
-        wait (the late result is real, so it still counts).
-
-        Keys found in neither place are duplicates of a settlement that
-        already happened (or runs now owned by another worker's lease)
-        and are discarded.  Returns the accepted ``(key, spec, job,
-        result_payload, error, timing)`` tuples plus bookkeeping for
-        the HTTP response; phase 2 persists off-loop and
-        :meth:`finish_settlements` completes the job bookkeeping.
-        """
+        """Pop each reported key from its lease -- or from the pending
+        queue, where a reaped lease's keys wait (the late result is
+        real, so it still counts).  Keys found in neither place are
+        duplicates of a settlement that already happened (or runs now
+        owned by another consumer's lease) and are discarded."""
         held = self.leases.get(lease_id)
-        lease_known = held is not None
         # captured before settling: accepting the last key retires the
         # lease, and the fleet ledger still needs the worker's name
         lease_worker = held.worker if held is not None else None
@@ -743,28 +791,35 @@ class JobScheduler:
                 duplicates += 1
                 continue
             spec, job = payload
-            timing = run.get("timing")
             accepted.append((
                 key, spec, job, run.get("result"), run.get("error"),
-                timing if isinstance(timing, dict) else None,
+                _settle_timing(run.get("timing")),
             ))
         lease = self.leases.get(lease_id)
         return {
             "accepted": accepted,
             "duplicates": duplicates,
-            "lease_known": lease_known,
+            "lease_known": held is not None,
             "worker": lease_worker,
             "remaining": len(lease.runs) if lease is not None else 0,
         }
 
-    def finish_settlements(
-        self, accepted: List[tuple], worker: Optional[str] = None
-    ) -> None:
-        """Settle phase 3 (event loop): mirror results, settle owning
-        jobs and resolve in-flight futures -- the remote twin of
-        :meth:`_settle_from_engine`.  *worker* attributes the runs in
-        the fleet ledger (``repro_fleet_runs``, ``GET /v1/workers``)."""
-        worker = worker or "unknown"
+    def _persist(self, accepted: List[tuple]) -> None:
+        """Store-thread half of a settle: append the fresh records."""
+        with self.store.batched(flush_every=len(accepted)):
+            for key, spec, _job, result_payload, error, _ in accepted:
+                if error is None:
+                    self.store.put_record(key, {
+                        "schema": self.store.schema_version,
+                        "key": key,
+                        "spec": spec_to_dict(spec),
+                        "result": result_payload,
+                    })
+
+    def _finish_settlements(self, accepted: List[tuple], worker: str) -> None:
+        """Mirror results, settle owning jobs and resolve in-flight
+        futures.  *worker* attributes the runs in the fleet ledger
+        (``repro_fleet_runs``, ``GET /v1/workers``)."""
         for key, spec, job, result_payload, error, timing in accepted:
             if error is None:
                 self._remember(key, {
@@ -776,46 +831,19 @@ class JobScheduler:
             else:
                 source = "error"
             self._lease_settled.labels(source).inc()
-            self._record_fleet_settle(worker, source, timing)
+            self.workers.record_settle(worker, source)
+            self._fleet_runs.labels(worker, source).inc()
+            if timing is not None:
+                self._fleet_sim_seconds.inc(timing["sim_s"])
+                self._fleet_sim_cycles.inc(timing["cycles"])
+                self._fleet_settle_seconds.labels(worker).observe(
+                    timing["sim_s"]
+                )
             self._settle(job, key, source, error, worker=worker,
                          timing=timing)
             future = self._inflight.pop(key, None)
             if future is not None and not future.done():
                 future.set_result((source, error))
-
-    def _record_fleet_settle(
-        self, worker: str, source: str, timing: Optional[dict]
-    ) -> None:
-        """Fold one accepted settle into the fleet ledger and metrics."""
-        self.workers.record_settle(worker, source)
-        self._fleet_runs.labels(worker, source).inc()
-        if not timing:
-            return
-        try:
-            sim_s = max(0.0, float(timing.get("sim_s", 0.0)))
-            cycles = max(0, int(timing.get("cycles", 0)))
-        except (TypeError, ValueError):
-            return
-        self._fleet_sim_seconds.inc(sim_s)
-        if cycles:
-            self._fleet_sim_cycles.inc(cycles)
-        self._fleet_settle_seconds.labels(worker).observe(sim_s)
-
-    # ------------------------------------------------------------------
-    def _settle_from_engine(self, job: Job, outcome: RunOutcome) -> None:
-        """Event-loop side of the engine's streaming outcome callback."""
-        key = outcome.key
-        if outcome.ok and outcome.result is not None:
-            self._remember(key, {
-                "key": key,
-                "spec": spec_to_dict(outcome.spec),
-                "result": result_to_dict(outcome.result),
-            })
-        source = outcome.source if outcome.ok else "error"
-        self._settle(job, key, source, outcome.error)
-        future = self._inflight.pop(key, None)
-        if future is not None and not future.done():
-            future.set_result((source, outcome.error))
 
     def _settle(
         self,
@@ -854,13 +882,13 @@ class JobScheduler:
     # ------------------------------------------------------------------
     def result_record(self, key: str) -> Optional[dict]:
         """Completed-run record for *key*: memory mirror first, then the
-        engine's result store; ``None`` when unknown."""
+        result store; ``None`` when unknown."""
         record = self._records.get(key)
         if record is not None:
             self._records.move_to_end(key)
             return record
-        if self.engine.store is not None:
-            stored = self.engine.store.record(key)
+        if self.store is not None:
+            stored = self.store.record(key)
             if stored is not None:
                 return {
                     "key": key,
@@ -896,8 +924,10 @@ class JobScheduler:
     async def drain(self) -> None:
         """Stop accepting work and wait for queued + active jobs.
 
-        Queued jobs still execute (they were accepted); new submissions
-        raise :class:`Draining` the moment this is called.
+        Queued jobs still execute (they were accepted) -- the consumers
+        empty the lease queue -- and new submissions raise
+        :class:`Draining` the moment this is called.  Then the reaper
+        and the idle consumers stop and the run pool shuts down.
         """
         self.draining = True
         while self._waiting or self._active:
@@ -906,59 +936,16 @@ class JobScheduler:
                 await asyncio.gather(*tasks, return_exceptions=True)
             else:  # queued but not yet pumped (no free slot this tick)
                 await asyncio.sleep(0.01)
-        if self._reaper is not None:
-            self._reaper.cancel()
-            try:
-                await self._reaper
-            except asyncio.CancelledError:
-                pass
-            self._reaper = None
+        background = [t for t in (self._reaper, *self._consumers) if t]
+        for task in background:
+            task.cancel()
+        await asyncio.gather(*background, return_exceptions=True)
+        self._reaper, self._consumers = None, []
+        if self._pool is not None:
+            await asyncio.get_running_loop().run_in_executor(
+                None, self._pool.shutdown
+            )
+            self._pool = None
+        self._store_io.shutdown()  # idle: every settle has finished
         if self.journal is not None:
             self.journal.close()  # releases the single-writer flock
-
-    # ------------------------------------------------------------------
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """Counters for /healthz and tests (scheduler + store view).
-
-        ``GET /metrics`` no longer renders from this: it serves the
-        Prometheus exposition of :attr:`registry` (same numbers, real
-        format).
-        """
-        counters = self.metrics
-        served = counters["runs_store"] + counters["runs_fresh"]
-        out: Dict[str, object] = {
-            "queue_depth": self.queue_depth,
-            "queue_limit": self.max_queue,
-            "active_jobs": self.active_jobs,
-            "max_active": self.max_active,
-            "draining": int(self.draining),
-            "result_cache_records": len(self._records),
-            **counters,
-            "store_hit_rate": (
-                counters["runs_store"] / served if served else 0.0
-            ),
-        }
-        for state in ("queued", "running", "done", "failed"):
-            out[f"jobs_{state}"] = sum(
-                1 for job in self.jobs.values() if job.state == state
-            )
-        if self.engine.store is not None:
-            info = self.engine.store.info()
-            out["store_records"] = info["records"]
-            out["store_size_bytes"] = info["size_bytes"]
-        if self.remote:
-            out["remote"] = 1
-            out["lease_pending_runs"] = self.leases.pending_runs
-            out["lease_active"] = self.leases.active_leases
-            out["fleet_workers_live"] = self.workers.count("live")
-            out["fleet_workers_stale"] = self.workers.count("stale")
-        if self.journal is not None:
-            out["journal_appends"] = int(self._journal_appends.value)
-            out["journal_replayed_events"] = int(
-                self._journal_replayed.value
-            )
-            out["journal_recovered_jobs"] = int(
-                self._journal_recovered.value
-            )
-            out["journal_requeued_runs"] = int(self._journal_requeued.value)
-        return out

@@ -17,8 +17,8 @@ Endpoints (see ``docs/service-api.md`` for payload shapes):
   settles or when sampling was off).
 * ``POST /v1/leases``          -- (remote mode) a worker pulls a lease
   over a batch of pending runs; 200 with ``{"lease", "ttl", "runs"}``
-  (``runs`` empty when nothing is pending), 400 when the service is
-  not in remote mode.
+  (``runs`` empty when nothing is pending), 400 when the service runs
+  local consumers (outside clients must not settle into its store).
 * ``POST /v1/leases/{id}/settle`` -- (remote mode) a worker settles
   leased outcomes; 200 with accept/duplicate counts, 410 when the
   lease expired and none of the keys were still claimable.
@@ -67,9 +67,8 @@ import time
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.engine.engine import ExperimentEngine
+from repro.engine.engine import default_workers
 from repro.engine.serialize import result_from_dict
-from repro.engine.spec import spec_to_dict
 from repro.engine.store import ResultStore, default_store_path
 from repro.service.jobs import InvalidRequest, SweepRequest
 from repro.service.journal import JobJournal
@@ -215,7 +214,7 @@ class SimulationService:
     """The HTTP front of a :class:`JobScheduler`.
 
     Args:
-        scheduler: executes the jobs (owns the engine + store).
+        scheduler: executes the jobs (owns the lease queue + store).
         host/port: bind address; port 0 picks an ephemeral port
             (exposed as :attr:`port` after :meth:`start`).
         max_body: request-body bound in bytes (413 past it).
@@ -264,7 +263,7 @@ class SimulationService:
         never happen inside a request handler (it would stall every
         concurrent connection, health checks included).
         """
-        store = self.scheduler.engine.store
+        store = self.scheduler.store
         if store is not None:
             await asyncio.get_running_loop().run_in_executor(
                 None, len, store
@@ -589,7 +588,7 @@ class SimulationService:
     # ------------------------------------------------------------------
     # remote mode: the worker-pull lease endpoints
     def _require_remote(self) -> None:
-        if not self.scheduler.remote:
+        if self.scheduler.local_workers:
             raise _HTTPError(
                 400,
                 "this service executes locally; start it with "
@@ -614,7 +613,7 @@ class SimulationService:
         try:
             max_runs = int(payload.get("max_runs", DEFAULT_LEASE_RUNS))
             ttl = float(payload.get("ttl", DEFAULT_LEASE_TTL_S))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise _HTTPError(400, "max_runs/ttl must be numbers")
         # the lease itself is the liveness signal; a piggybacked
         # heartbeat additionally updates the worker's telemetry
@@ -678,7 +677,10 @@ class SimulationService:
 
         heartbeat = payload.get("heartbeat")
         self.scheduler.workers.heartbeat(heartbeat)
-        claim = self.scheduler.claim_settlements(lease_id, runs)
+        worker = None
+        if isinstance(heartbeat, dict):
+            worker = str(heartbeat.get("name") or "")[:120] or None
+        claim = await self.scheduler.settle(lease_id, runs, worker=worker)
         accepted = claim["accepted"]
         if not claim["lease_known"] and not accepted:
             raise _HTTPError(
@@ -690,31 +692,6 @@ class SimulationService:
             # correlate this settle's access-log line with the job it
             # advanced (the first accepted run's owning job)
             writer.trace_id = accepted[0][2].trace_id
-        store = self.scheduler.engine.store
-        if store is not None and accepted:
-
-            def persist() -> None:
-                # same lock as engine entry: the store's append handles
-                # are single-threaded by design
-                with self.scheduler._engine_lock:
-                    with store.batched(flush_every=len(accepted)):
-                        for key, spec, _job, result_payload, error, _ in (
-                            accepted
-                        ):
-                            if error is not None:
-                                continue
-                            store.put_record(key, {
-                                "schema": store.schema_version,
-                                "key": key,
-                                "spec": spec_to_dict(spec),
-                                "result": result_payload,
-                            })
-
-            await loop.run_in_executor(None, persist)
-        worker = claim.get("worker")
-        if not worker and isinstance(heartbeat, dict):
-            worker = str(heartbeat.get("name") or "")[:120] or None
-        self.scheduler.finish_settlements(accepted, worker=worker)
         writer.write(_json_response(200, {
             "settled": len(accepted),
             "duplicates": claim["duplicates"],
@@ -837,21 +814,23 @@ def build_service(
     store_backend: Optional[str] = None,
     journal: Optional[str] = None,
 ) -> SimulationService:
-    """Assemble engine -> scheduler -> service with env-var defaults.
+    """Assemble store -> scheduler -> service with env-var defaults.
 
     ``REPRO_SERVICE_QUEUE`` / ``REPRO_SERVICE_ACTIVE`` /
     ``REPRO_SERVICE_MAX_BODY`` fill unspecified bounds;
     ``REPRO_SERVICE_ALLOW_TRACES=1`` opts in to ``trace:<path>``
     workloads (server-side file access -- off by default);
     ``REPRO_SERVICE_ACCESS_LOG=<path>`` turns on the structured
-    per-request JSONL access log; ``REPRO_SERVICE_REMOTE=1`` (or
-    ``remote=True``) switches to worker-pull dispatch -- the lease
-    endpoints open and `repro worker` processes execute the runs.  The
-    store resolves like the CLI's (explicit path, else ``REPRO_STORE``,
-    else the user cache directory; ``no_store`` disables persistence --
-    the scheduler's in-memory record mirror still dedupes within the
-    process lifetime), and ``store_backend`` picks its on-disk layout
-    for new stores (else ``REPRO_STORE_BACKEND``, else single-file).
+    per-request JSONL access log.  ``workers`` in-process lease
+    consumers execute the runs (default ``REPRO_WORKERS``, else the CPU
+    count); ``REPRO_SERVICE_REMOTE=1`` (or ``remote=True``) starts none,
+    opening the lease endpoints so `repro worker` processes execute
+    them instead.  The store resolves like the CLI's (explicit path,
+    else ``REPRO_STORE``, else the user cache directory; ``no_store``
+    disables persistence -- the scheduler's in-memory record mirror
+    still dedupes within the process lifetime), and ``store_backend``
+    picks its on-disk layout for new stores (else
+    ``REPRO_STORE_BACKEND``, else single-file).
     ``journal`` (or ``REPRO_SERVICE_JOURNAL=<path>``) attaches the
     write-ahead job journal: accepted work survives coordinator
     restarts, replayed against the store on startup
@@ -866,9 +845,16 @@ def build_service(
         journal if journal is not None
         else os.environ.get("REPRO_SERVICE_JOURNAL", "").strip() or None
     )
-    engine = ExperimentEngine(store=store, workers=workers)
+    if remote is None:
+        remote = os.environ.get("REPRO_SERVICE_REMOTE", "").strip() in (
+            "1", "true", "yes"
+        )
     scheduler = JobScheduler(
-        engine,
+        store=store,
+        local_workers=(
+            0 if remote
+            else default_workers() if workers is None else max(1, workers)
+        ),
         max_queue=(
             max_queue if max_queue is not None
             else env_int("REPRO_SERVICE_QUEUE", DEFAULT_MAX_QUEUE)
@@ -876,11 +862,6 @@ def build_service(
         max_active=(
             max_active if max_active is not None
             else env_int("REPRO_SERVICE_ACTIVE", DEFAULT_MAX_ACTIVE)
-        ),
-        remote=(
-            remote if remote is not None
-            else os.environ.get("REPRO_SERVICE_REMOTE", "").strip()
-            in ("1", "true", "yes")
         ),
         journal=JobJournal(journal_path) if journal_path else None,
     )

@@ -1,5 +1,9 @@
 """``repro worker``: the pull-based execution half of remote mode.
 
+:func:`_execute_one` is also what the scheduler's in-process
+``local-<i>`` consumers execute, so local and remote runs take the
+same path.
+
 A worker is deliberately dumb: it owns no queue, no store and no job
 state.  It loops
 

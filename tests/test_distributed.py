@@ -466,3 +466,92 @@ class TestFleet:
             time.sleep(1.0)  # let it reach the idle poll loop
             worker.send_signal(signal.SIGTERM)
             assert worker.wait(15) == 0
+
+
+# ----------------------------------------------------------------------
+ONE_RUN = dict(configs="L1-SRAM", workloads="2DCONV", scale="smoke",
+               num_sms=2)
+
+
+def lease_one(client: ServiceClient) -> dict:
+    """Wait for the submitted run to queue, then lease it."""
+    wait_until(lambda: client.leases()["pending_runs"] == 1,
+               what="the run to queue")
+    return client.lease(worker="w", max_runs=1, ttl=30)
+
+
+class TestSettleFailures:
+    """A settle that fails after its claim must still settle every
+    claimed key, or the owning job waits forever."""
+
+    def test_store_write_failure_settles_claimed_keys_as_errors(
+        self, tmp_path, monkeypatch
+    ):
+        with remote_service(tmp_path) as svc:
+            def disk_full(*_args, **_kwargs):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(
+                svc.service.scheduler.store, "put_record", disk_full
+            )
+            client = ServiceClient(svc.url)
+            accepted = client.submit(**ONE_RUN)
+            grant = lease_one(client)
+            (run,) = grant["runs"]
+            response = client.settle(
+                grant["lease"], [_execute_one(run["key"], run)]
+            )
+            assert response["settled"] == 1
+            snap = client.wait(accepted["job"], timeout=30)
+            assert snap["state"] == "failed"
+            (entry,) = snap["runs"]
+            assert "No space left on device" in entry["error"]
+            assert client.leases() == {"pending_runs": 0, "active": []}
+
+    def test_overflowing_settle_timing_is_ignored(self, tmp_path):
+        with remote_service(tmp_path) as svc:
+            client = ServiceClient(svc.url)
+            accepted = client.submit(**ONE_RUN)
+            grant = lease_one(client)
+            (run,) = grant["runs"]
+            entry = _execute_one(run["key"], run)
+            entry["timing"]["cycles"] = 1e400  # JSON Infinity on the wire
+            assert client.settle(grant["lease"], [entry])["settled"] == 1
+            snap = client.wait(accepted["job"], timeout=30)
+            assert snap["state"] == "done"
+            (settled,) = snap["runs"]
+            assert settled["source"] == "fresh"
+            assert settled["worker"] == "w"
+            assert "timing" not in settled  # unparseable == missing
+            assert metric_value(
+                client.metrics(), "repro_fleet_sim_cycles"
+            ) == 0
+
+    @pytest.mark.parametrize("bad", [
+        {"max_runs": "many"},
+        {"ttl": [30]},
+        {"max_runs": 1e400},  # int(inf) overflows
+    ])
+    def test_malformed_lease_requests_rejected(self, tmp_path, bad):
+        with remote_service(tmp_path) as svc:
+            client = ServiceClient(svc.url)
+            with pytest.raises(ServiceError) as refused:
+                client._request(
+                    "POST", "/v1/leases", {"worker": "w", **bad},
+                    idempotent=False,
+                )
+            assert refused.value.status == 400
+            assert "max_runs/ttl must be numbers" in str(refused.value)
+
+    def test_remote_mode_starts_no_local_consumers(self, tmp_path):
+        with remote_service(tmp_path) as svc:
+            client = ServiceClient(svc.url)
+            accepted = client.submit(**ONE_RUN)
+            grant = lease_one(client)
+            (run,) = grant["runs"]
+            client.settle(grant["lease"], [_execute_one(run["key"], run)])
+            assert client.wait(accepted["job"], timeout=30)["state"] == "done"
+            scheduler = svc.service.scheduler
+            assert scheduler.local_workers == 0
+            assert scheduler._consumers == []
+            assert scheduler._pool is None

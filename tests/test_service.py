@@ -4,15 +4,15 @@ HTTP server end-to-end (bit-identity, dedup, backpressure, SSE)."""
 from __future__ import annotations
 
 import asyncio
+import os
 import threading
 import time
 
 import pytest
 
 from repro.cache.stats import CacheStats
-from repro.engine.engine import RunOutcome
 from repro.engine.serialize import result_to_dict
-from repro.engine.spec import RunSpec, execute_spec
+from repro.engine.spec import RunSpec, execute_spec, spec_from_dict
 from repro.gpu.stats import MemorySystemStats, SimulationResult
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import InvalidRequest, Job, SweepRequest, job_id_for
@@ -44,39 +44,49 @@ def fake_result(spec: RunSpec) -> SimulationResult:
     )
 
 
-class StubEngine:
-    """Engine double: records every dispatch, optionally blocks or fails.
+class StubRunner:
+    """Run-executor double: records every executed key, optionally
+    blocks or fails.
 
-    ``release`` starts set (non-blocking); clear it to hold run_specs
-    open until the test releases it -- that is the window in which
+    ``release`` starts set (non-blocking); clear it to hold runs open
+    until the test releases it -- that is the window in which
     single-flight attachment and queue backpressure are observable.
     """
 
-    def __init__(self, store=None, fail: bool = False):
-        self.store = store
-        self.workers = 1
+    def __init__(self, fail: bool = False):
         self.fail = fail
-        self.dispatches = []  # list of key-digest lists, one per call
+        self.dispatches = []  # executed run-key digests, in order
         self.started = threading.Event()
         self.release = threading.Event()
         self.release.set()
 
-    def run_specs(self, specs, progress=None, on_outcome=None):
-        self.dispatches.append([spec.key().digest for spec in specs])
+    def __call__(self, key, run):
+        self.dispatches.append(key)
         self.started.set()
-        assert self.release.wait(30.0), "stub engine never released"
+        assert self.release.wait(30.0), "stub runner never released"
         if self.fail:
-            raise RuntimeError("engine exploded")
-        outcomes = []
-        for spec in specs:
-            outcome = RunOutcome(
-                spec=spec, key=spec.key().digest,
-                result=fake_result(spec), source="fresh",
-            )
-            if on_outcome is not None:
-                on_outcome(outcome)
-            outcomes.append(outcome)
-        return outcomes
+            raise RuntimeError("runner exploded")
+        spec = spec_from_dict(run["spec"])
+        return {"key": key, "result": result_to_dict(fake_result(spec)),
+                "timing": {"sim_s": 0.0, "cycles": 100}}
+
+
+def exit_abruptly(key, run):
+    """Pool-process run executor that dies mid-run."""
+    os._exit(3)
+
+
+def fake_settle_entry(key, run):
+    """Pool-process run executor that settles a fake result."""
+    spec = spec_from_dict(run["spec"])
+    return {"key": key, "result": result_to_dict(fake_result(spec))}
+
+
+def stub_scheduler(runner: StubRunner, **kwargs) -> JobScheduler:
+    """A one-consumer scheduler whose runs execute on *runner*."""
+    scheduler = JobScheduler(local_workers=1, **kwargs)
+    scheduler.execute_run = runner
+    return scheduler
 
 
 async def wait_job(job: Job, timeout: float = 15.0) -> None:
@@ -86,9 +96,9 @@ async def wait_job(job: Job, timeout: float = 15.0) -> None:
         await asyncio.sleep(0.005)
 
 
-async def engine_started(engine: StubEngine, timeout: float = 10.0) -> None:
+async def runner_started(runner: StubRunner, timeout: float = 10.0) -> None:
     loop = asyncio.get_running_loop()
-    assert await loop.run_in_executor(None, engine.started.wait, timeout)
+    assert await loop.run_in_executor(None, runner.started.wait, timeout)
 
 
 # ----------------------------------------------------------------------
@@ -177,17 +187,17 @@ class TestJobIdentity:
 class TestSchedulerSingleFlight:
     def test_concurrent_identical_jobs_one_dispatch(self):
         async def scenario():
-            engine = StubEngine()
-            engine.release.clear()
-            scheduler = JobScheduler(engine, max_active=2)
+            runner = StubRunner()
+            runner.release.clear()
+            scheduler = stub_scheduler(runner, max_active=2)
             job1, created1 = scheduler.submit(request())
             job2, created2 = scheduler.submit(request())
             assert created1 and not created2
             assert job1 is job2
-            await engine_started(engine)
-            engine.release.set()
+            await runner_started(runner)
+            runner.release.set()
             await wait_job(job1)
-            assert len(engine.dispatches) == 1
+            assert len(runner.dispatches) == 1
             assert scheduler.metrics["jobs_coalesced"] == 1
             assert job1.counters["fresh"] == 1
 
@@ -195,23 +205,22 @@ class TestSchedulerSingleFlight:
 
     def test_overlapping_keys_attach_to_inflight_job(self):
         async def scenario():
-            engine = StubEngine()
-            engine.release.clear()
-            scheduler = JobScheduler(engine, max_active=2)
+            runner = StubRunner()
+            runner.release.clear()
+            scheduler = stub_scheduler(runner, max_active=2)
             job_a, _ = scheduler.submit(request(workloads=["ATAX", "BICG"]))
-            await engine_started(engine)  # A holds its keys in flight
+            await runner_started(runner)  # A holds its keys in flight
             job_b, _ = scheduler.submit(request(workloads=["BICG", "GEMM"]))
             assert job_a is not job_b
-            engine.release.set()
+            runner.release.set()
             await wait_job(job_a)
             await wait_job(job_b)
-            # the shared BICG key was dispatched exactly once, by A
-            dispatched = [k for keys in engine.dispatches for k in keys]
+            # the shared BICG key was executed exactly once, by A
             shared = [
                 key for key, spec in job_b.specs.items()
                 if spec.workload == "BICG"
             ][0]
-            assert dispatched.count(shared) == 1
+            assert runner.dispatches.count(shared) == 1
             assert job_b.runs[shared].source == "coalesced"
             assert job_b.counters["coalesced"] == 1
             assert job_b.counters["fresh"] == 1  # GEMM only
@@ -221,13 +230,13 @@ class TestSchedulerSingleFlight:
 
     def test_completed_keys_served_from_memory_mirror(self):
         async def scenario():
-            engine = StubEngine()
-            scheduler = JobScheduler(engine)
+            runner = StubRunner()
+            scheduler = stub_scheduler(runner)
             job1, _ = scheduler.submit(request())
             await wait_job(job1)
             job2, _ = scheduler.submit(request())
             await wait_job(job2)
-            assert len(engine.dispatches) == 1  # second job never dispatched
+            assert len(runner.dispatches) == 1  # second job never executed
             assert job2.counters["store_hits"] == job2.counters["total"] == 1
             assert job2.counters["fresh"] == 0
 
@@ -235,18 +244,18 @@ class TestSchedulerSingleFlight:
 
     def test_queue_full_raises(self):
         async def scenario():
-            engine = StubEngine()
-            engine.release.clear()
-            scheduler = JobScheduler(engine, max_queue=1, max_active=1)
+            runner = StubRunner()
+            runner.release.clear()
+            scheduler = stub_scheduler(runner, max_queue=1, max_active=1)
             job1, _ = scheduler.submit(request(seed=1))
-            await engine_started(engine)
+            await runner_started(runner)
             scheduler.submit(request(seed=2))  # fills the one queue slot
             with pytest.raises(QueueFull):
                 scheduler.submit(request(seed=3))
             # identical to the *queued* job: coalesces instead of 429
             _, created = scheduler.submit(request(seed=2))
             assert not created
-            engine.release.set()
+            runner.release.set()
             await wait_job(job1)
             await wait_job(scheduler.jobs[Job(
                 request(seed=2), request(seed=2).to_specs()
@@ -256,39 +265,64 @@ class TestSchedulerSingleFlight:
 
     def test_draining_rejects_submissions(self):
         async def scenario():
-            scheduler = JobScheduler(StubEngine())
+            scheduler = stub_scheduler(StubRunner())
             scheduler.draining = True
             with pytest.raises(Draining):
                 scheduler.submit(request())
 
         asyncio.run(scenario())
 
-    def test_engine_failure_fails_job_and_releases_attached(self):
+    def test_dead_pool_process_settles_errors_and_pool_restarts(self):
         async def scenario():
-            engine = StubEngine(fail=True)
-            engine.release.clear()
-            scheduler = JobScheduler(engine, max_active=2)
+            scheduler = JobScheduler(local_workers=2)
+            scheduler.execute_run = exit_abruptly
+            broken, _ = scheduler.submit(request())
+            await wait_job(broken)
+            assert broken.state == "failed"
+            (run,) = broken.runs.values()
+            assert "BrokenProcessPool" in run.error
+            scheduler.execute_run = fake_settle_entry
+            healthy, _ = scheduler.submit(request(seed=1))
+            await wait_job(healthy)
+            assert healthy.state == "done"
+            assert healthy.counters["fresh"] == 1
+            await scheduler.drain()
+
+        asyncio.run(scenario())
+
+    def test_executor_failure_settles_errors_and_releases_attached(self):
+        async def scenario():
+            runner = StubRunner(fail=True)
+            runner.release.clear()
+            scheduler = stub_scheduler(runner, max_active=2)
             job_a, _ = scheduler.submit(request(workloads=["ATAX"]))
-            await engine_started(engine)
+            await runner_started(runner)
             job_b, _ = scheduler.submit(request(workloads=["ATAX", "BICG"]))
-            engine.release.set()
+            runner.release.set()
             await wait_job(job_a)
             await wait_job(job_b)
+            # every run settled as an error carrying the exception text
             assert job_a.state == "failed"
-            assert "engine exploded" in job_a.error
+            assert job_a.error == "every run failed"
+            (run_a,) = job_a.runs.values()
+            assert "runner exploded" in run_a.error
+            assert scheduler.metrics["runs_error"] == 3  # A once, B twice
             # B must not hang on the attached key; its settle is an error
             attached = [
                 key for key, spec in job_b.specs.items()
                 if spec.workload == "ATAX"
             ][0]
             assert job_b.runs[attached].state == "done"
-            assert job_b.runs[attached].error is not None
+            assert "runner exploded" in job_b.runs[attached].error
+            assert job_b.counters["errors"] == 2
+            assert scheduler.leases.pending_runs == 0
+            assert scheduler.leases.active_leases == 0
 
         asyncio.run(scenario())
 
 
 # ----------------------------------------------------------------------
-# HTTP end-to-end (real engine, smoke scale)
+# HTTP end-to-end (real simulations, smoke scale)
 # ----------------------------------------------------------------------
 class TestServiceEndToEnd:
     CONFIGS = ["L1-SRAM", "Dy-FUSE"]
@@ -371,6 +405,28 @@ class TestServiceEndToEnd:
                 client._request("GET", "/v1/nope")
             assert err.value.status == 404
 
+    def test_local_runs_carry_worker_and_timing(self):
+        """Local consumers settle through the lease fabric, so their
+        runs are attributed and timed exactly like a fleet worker's;
+        more consumers than cores still execute each key once."""
+        with BackgroundService(no_store=True, workers=3) as svc:
+            client = ServiceClient(svc.url)
+            snapshot = client.run_to_completion(
+                self.CONFIGS, ["2DCONV", "ATAX"], scale="smoke", num_sms=2,
+                timeout=120,
+            )
+            assert snapshot["state"] == "done"
+            assert snapshot["fresh"] == snapshot["total"] == 4
+            for run in snapshot["runs"]:
+                assert run["worker"] in ("local-0", "local-1", "local-2")
+                assert run["timing"]["cycles"] > 0
+                assert run["timing"]["sim_s"] > 0
+            text = client.metrics()
+            assert "repro_lease_runs_leased 4" in text
+            assert 'repro_lease_settled{outcome="fresh"} 4' in text
+            assert "repro_lease_pending_runs 0" in text
+            assert "repro_lease_active 0" in text
+
     def test_metrics_exposed(self, tmp_path):
         with BackgroundService(
             store_path=tmp_path / "s.jsonl", workers=1
@@ -388,23 +444,23 @@ class TestServiceEndToEnd:
 
 class TestServiceBackpressure:
     def _stub_service(self, **scheduler_kwargs) -> tuple:
-        engine = StubEngine()
-        scheduler = JobScheduler(engine, **scheduler_kwargs)
-        return engine, SimulationService(scheduler, port=0)
+        runner = StubRunner()
+        scheduler = stub_scheduler(runner, **scheduler_kwargs)
+        return runner, SimulationService(scheduler, port=0)
 
     def test_full_queue_returns_429(self):
-        engine, service = self._stub_service(max_queue=0, max_active=1)
-        engine.release.clear()
+        runner, service = self._stub_service(max_queue=0, max_active=1)
+        runner.release.clear()
         with BackgroundService(service=service) as svc:
             client = ServiceClient(svc.url)
             accepted = client.submit(
                 ["L1-SRAM"], ["ATAX"], scale="smoke", num_sms=2,
             )
-            assert engine.started.wait(10.0)
+            assert runner.started.wait(10.0)
             with pytest.raises(ServiceError) as err:
                 client.submit(["L1-SRAM"], ["BICG"], scale="smoke", num_sms=2)
             assert err.value.status == 429
-            engine.release.set()
+            runner.release.set()
             final = client.wait(accepted["job"], timeout=30)
             assert final["state"] == "done"
 
@@ -443,23 +499,23 @@ class TestServiceBackpressure:
             assert err.value.status == 413
 
     def test_drain_finishes_accepted_jobs(self):
-        engine, service = self._stub_service()
-        engine.release.clear()
+        runner, service = self._stub_service()
+        runner.release.clear()
         with BackgroundService(service=service) as svc:
             client = ServiceClient(svc.url)
             accepted = client.submit(
                 ["L1-SRAM"], ["ATAX"], scale="smoke", num_sms=2,
             )
-            assert engine.started.wait(10.0)
+            assert runner.started.wait(10.0)
             job_id = accepted["job"]
             # request the drain while the job is mid-flight, then let the
-            # engine finish; __exit__ joins the server thread
+            # runner finish; __exit__ joins the server thread
             service.scheduler.draining = True
             with pytest.raises(ServiceError) as err:
                 client.submit(["L1-SRAM"], ["BICG"], scale="smoke",
                               num_sms=2)
             assert err.value.status == 503
-            engine.release.set()
+            runner.release.set()
             final = client.wait(job_id, timeout=30)
             assert final["state"] == "done"
 

@@ -382,7 +382,9 @@ class TestServiceObservability:
             assert "# HELP repro_service_requests " in text
             assert "# TYPE repro_service_requests counter" in text
             assert "# TYPE repro_service_request_seconds histogram" in text
-            assert 'repro_engine_runs{source="fresh"}' in text
+            # local runs go through the lease fabric's one settle path
+            assert "repro_service_runs_fresh 1" in text
+            assert 'repro_lease_settled{outcome="fresh"} 1' in text
             assert "repro_service_jobs_submitted 1" in text
             assert "repro_store_puts" in text
             assert "repro_service_store_hit_rate" in text
