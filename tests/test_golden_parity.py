@@ -47,6 +47,11 @@ GOLDEN_RUNS = [
     ("Hybrid", "PVC", "test"),
     ("Dy-FUSE", "PVC", "test"),
     ("Dy-FUSE", "SS", "test"),
+    # retry storms: most presentations here are reservation failures
+    ("L1-SRAM", "BICG", "test"),
+    ("Dy-FUSE", "histo", "test"),
+    # a timeline-sampled run pins the sample cycles and every row
+    ("Hybrid", "PVC", "test", 200),
 ]
 
 #: machine shape shared by every golden run
@@ -55,15 +60,24 @@ GOLDEN_SEED = 0
 GOLDEN_PROFILE = "fermi"
 
 
-def run_id(config: str, workload: str, scale: str) -> str:
-    return f"{config}|{workload}|{GOLDEN_PROFILE}|{scale}|sms{GOLDEN_SMS}|seed{GOLDEN_SEED}"
+def run_id(config: str, workload: str, scale: str, interval: int = 0) -> str:
+    base = f"{config}|{workload}|{GOLDEN_PROFILE}|{scale}|sms{GOLDEN_SMS}|seed{GOLDEN_SEED}"
+    return f"{base}|timeline{interval}" if interval else base
 
 
-def simulate_payload(config: str, workload: str, scale: str) -> dict:
-    """Execute one golden run and flatten it to the compared payload."""
+def case_id(config: str, workload: str, scale: str, interval: int = 0) -> str:
+    timeline = f"-timeline{interval}" if interval else ""
+    return f"{config}-{workload}-{scale}{timeline}-interp"
+
+
+def simulate_payload(
+    config: str, workload: str, scale: str, interval: int = 0
+) -> dict:
+    """Execute one golden run and flatten it to the compared payload
+    (a run with a timeline *interval* carries its sampled rows)."""
     spec = RunSpec.build(
         config, workload, gpu_profile=GOLDEN_PROFILE, scale=scale,
-        seed=GOLDEN_SEED, num_sms=GOLDEN_SMS,
+        seed=GOLDEN_SEED, num_sms=GOLDEN_SMS, timeline_interval=interval,
     )
     payload = result_to_dict(execute_spec(spec))
     payload.pop("energy", None)
@@ -99,12 +113,12 @@ def test_golden_file_covers_declared_runs(goldens):
 # the "-interp" suffix names the interpreter (GPUSimulator), the one
 # execution engine; it keeps the case ids stable across releases
 @pytest.mark.parametrize(
-    "config,workload,scale", GOLDEN_RUNS,
-    ids=[f"{c}-{w}-{s}-interp" for c, w, s in GOLDEN_RUNS],
+    "run", GOLDEN_RUNS, ids=[case_id(*run) for run in GOLDEN_RUNS],
 )
-def test_golden_parity(goldens, config, workload, scale):
-    recorded = goldens["runs"][run_id(config, workload, scale)]
-    payload = simulate_payload(config, workload, scale)
+def test_golden_parity(goldens, run):
+    config, workload, scale = run[:3]
+    recorded = goldens["runs"][run_id(*run)]
+    payload = simulate_payload(*run)
     # digest first for a crisp one-line failure, full dict for the diff
     if payload_digest(payload) != recorded["digest"]:
         assert payload == recorded["payload"], (
@@ -116,13 +130,13 @@ def test_golden_parity(goldens, config, workload, scale):
 
 def record() -> None:  # pragma: no cover - maintenance entry point
     runs = {}
-    for config, workload, scale in GOLDEN_RUNS:
-        payload = simulate_payload(config, workload, scale)
-        runs[run_id(config, workload, scale)] = {
+    for run in GOLDEN_RUNS:
+        payload = simulate_payload(*run)
+        runs[run_id(*run)] = {
             "digest": payload_digest(payload),
             "payload": payload,
         }
-        print(f"recorded {run_id(config, workload, scale)}")
+        print(f"recorded {run_id(*run)}")
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(
         {"comment": "golden SimulationResult payloads; see "
