@@ -13,30 +13,62 @@ check-then-commit sequence on a tag miss:
 
 ``MissPath`` owns steps 1 and 3 plus the primary-allocation accounting
 of step 2; the engine keeps only its own resource checks.
+
+Every rejection leaves through :meth:`MissPath.reject`, which builds the
+:class:`~repro.cache.interface.Rejection` stating the retry contract:
+the engine's per-attempt charge (``charged``) plus any hazard counters
+and the ``reservation_fails`` count itself.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.cache.interface import AccessOutcome, AccessResult
+from repro.cache.interface import (
+    NEVER,
+    AccessOutcome,
+    AccessResult,
+    Charge,
+    Rejection,
+)
 from repro.cache.mshr import MSHR, MSHREntry
 from repro.cache.request import MemoryRequest
 from repro.cache.stats import CacheStats
 
 __all__ = [
-    "MissPath",
+    "LOOKUP_CHARGE", "MissPath",
 ]
+
+#: what a homogeneous engine charges a rejected attempt before its miss
+#: path decides: the one tag lookup
+LOOKUP_CHARGE: Charge = (("tag_lookups", 1),)
+_FAIL_CHARGE: Charge = (("reservation_fails", 1),)
+
+
+def _lookup_charge() -> Charge:
+    return LOOKUP_CHARGE
 
 
 class MissPath:
-    """MSHR merge + off-chip forward + fill completion."""
+    """MSHR merge + off-chip forward + fill completion.
 
-    __slots__ = ("mshr", "stats")
+    Args:
+        mshr / stats: the owning cache's MSHR and counters.
+        charged: returns what the engine charged the current attempt
+            before rejecting it (called only on rejection).
+    """
 
-    def __init__(self, mshr: MSHR, stats: CacheStats) -> None:
+    __slots__ = ("mshr", "stats", "charged")
+
+    def __init__(
+        self,
+        mshr: MSHR,
+        stats: CacheStats,
+        charged: Callable[[], Charge] = _lookup_charge,
+    ) -> None:
         self.mshr = mshr
         self.stats = stats
+        self.charged = charged
 
     # ------------------------------------------------------------------
     def merge_or_reject(
@@ -61,10 +93,19 @@ class MissPath:
             return self.reject(block, cycle)
         return None
 
-    def reject(self, block: int, cycle: int) -> AccessResult:
-        """Count and report one structural-hazard reservation failure."""
+    def reject(
+        self, block: int, cycle: int, floor: int = NEVER, hazard: Charge = ()
+    ) -> Rejection:
+        """Count and report one reservation failure.
+
+        *floor* defaults to a structural hazard; *hazard* lists the
+        hazard counters the engine already charged for this attempt.
+        """
         self.stats.reservation_fails += 1
-        return AccessResult(AccessOutcome.RESERVATION_FAIL, cycle, (), block)
+        return Rejection(
+            AccessOutcome.RESERVATION_FAIL, cycle, (), block, floor,
+            self.charged() + hazard + _FAIL_CHARGE,
+        )
 
     def allocate(
         self,

@@ -7,6 +7,10 @@ The GPU simulator drives any L1D through two calls:
   ``ready_cycle``), whether the request went off-chip (``MISS`` /
   ``MISS_BYPASS``), was merged into an outstanding miss (``HIT_PENDING``),
   or whether a structural hazard forces a retry (``RESERVATION_FAIL``).
+  A bundled engine rejects with a :class:`Rejection`, which states the
+  retry contract: the earliest cycle the hazard can clear on its own
+  (``floor``) and the counters one more failed attempt would charge
+  (``charge``).
 * :meth:`L1DCacheModel.fill` -- the off-chip response for a block arrived.
   The result lists every merged request that is now complete, so the SM can
   unblock the owning warps.
@@ -26,8 +30,8 @@ from repro.cache.request import MemoryRequest
 from repro.cache.stats import CacheStats
 
 __all__ = [
-    "AccessOutcome", "AccessResult", "FillResult", "L1DCacheModel",
-    "RETRY_INTERVAL",
+    "AccessOutcome", "AccessResult", "Charge", "FillResult", "L1DCacheModel",
+    "NEVER", "RETRY_INTERVAL", "Rejection",
 ]
 
 
@@ -36,6 +40,14 @@ __all__ = [
 #: (which charge it as stall time when a structural hazard rejects an
 #: access), so stall accounting and actual retry timing stay consistent.
 RETRY_INTERVAL = 4
+
+#: :attr:`Rejection.floor` of a structural hazard (MSHR full, all ways
+#: reserved, merge-full entry): no amount of waiting clears it, only a
+#: fill or an accepted access on the same L1D can
+NEVER = 1 << 62
+
+#: ``CacheStats`` delta of one failed attempt, as ``(counter, amount)``
+Charge = Tuple[Tuple[str, int], ...]
 
 
 class AccessOutcome(enum.Enum):
@@ -69,6 +81,27 @@ class AccessResult:
     @property
     def is_hit(self) -> bool:
         return self.outcome is AccessOutcome.HIT
+
+
+@dataclass(slots=True)
+class Rejection(AccessResult):
+    """A ``RESERVATION_FAIL`` that states its retry contract.
+
+    Re-presenting the same request at any cycle before ``floor``, with
+    no fill and no accepted access on this L1D in between, is rejected
+    again, changes no cache state and adds exactly ``charge`` to the
+    cache's counters.  That lets the SM skip such attempts and charge
+    them in closed form (pinned by ``tests/test_retry_contract.py``).
+
+    Attributes:
+        floor: earliest cycle at which a time-based blocker (a busy
+            bank gate, a full tag queue or swap buffer) can clear;
+            :data:`NEVER` for structural hazards.
+        charge: this attempt's counter delta.
+    """
+
+    floor: int = NEVER
+    charge: Charge = ()
 
 
 @dataclass(slots=True)

@@ -47,12 +47,15 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.cache.engine import BankPort, MissPath, WritebackSink
+from repro.cache.engine.misspath import LOOKUP_CHARGE
 from repro.cache.interface import (
     RETRY_INTERVAL,
     AccessOutcome,
     AccessResult,
+    Charge,
     FillResult,
     L1DCacheModel,
+    Rejection,
 )
 from repro.cache.mshr import MSHR
 from repro.cache.request import BLOCK_SIZE, MemoryRequest
@@ -66,6 +69,14 @@ from repro.core.tag_queue import TagQueue
 __all__ = [
     "FuseCache", "FuseFeatures",
 ]
+
+#: hazard counters a full tag queue / swap buffer charges per attempt
+_TAG_QUEUE_FULL: Charge = (
+    ("tag_queue_full_events", 1), ("stt_write_stall_cycles", RETRY_INTERVAL),
+)
+_SWAP_FULL: Charge = (
+    ("swap_buffer_full_events", 1), ("stt_write_stall_cycles", RETRY_INTERVAL),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,7 +178,9 @@ class FuseCache(L1DCacheModel):
             self.approx = None
 
         self.mshr = MSHR(mshr_entries, mshr_max_merge)
-        self.miss_path = MissPath(self.mshr, self.stats)
+        self.miss_path = MissPath(self.mshr, self.stats, self._charged)
+        #: the current access's priced STT search (approximation only)
+        self._search = None
         self.l2_sink = WritebackSink(
             self.stats, leaves_cache=True, scorer=self._score_departure
         )
@@ -236,6 +249,7 @@ class FuseCache(L1DCacheModel):
         set_idx, way = self.stt.lookup(block_addr)
         if self.approx is not None:
             result = self.approx.search(block_addr)
+            self._search = result
             stats = self.stats
             stats.tag_searches += 1
             stats.tag_search_iterations += result.iterations
@@ -246,6 +260,22 @@ class FuseCache(L1DCacheModel):
                 stats.tag_search_stall_cycles += extra
             return way, result.cycles
         return way, 1
+
+    def _charged(self) -> Charge:
+        """What a rejected attempt paid before its hazard: the tag lookup
+        and, with the approximation, the priced STT search."""
+        search = self._search
+        if search is None:
+            return LOOKUP_CHARGE
+        charge = LOOKUP_CHARGE + (
+            ("tag_searches", 1),
+            ("tag_search_iterations", search.iterations),
+            ("cbf_tests", 1),
+            ("cbf_false_positives", search.false_positives),
+        )
+        if search.cycles > 1:
+            charge += (("tag_search_stall_cycles", search.cycles - 1),)
+        return charge
 
     def _score_departure(self, evicted: EvictedLine) -> None:
         """WritebackSink scorer: a line left the L1D for L2."""
@@ -271,16 +301,19 @@ class FuseCache(L1DCacheModel):
 
     # ==================================================================
     # structural-hazard pre-checks (check-then-commit)
-    def _sram_eviction_hazard(self, block_addr: int, cycle: int) -> Optional[str]:
+    def _sram_eviction_hazard(
+        self, block_addr: int, cycle: int
+    ) -> Optional[Rejection]:
         """Can the SRAM bank absorb a reservation for *block_addr* now?
 
-        Returns None when safe, otherwise a reason string.  Must stay in
-        lockstep with the commit in :meth:`_handle_sram_eviction` (same
-        victim, same destination decision).
+        Returns None when safe, otherwise the rejection (all ways of
+        either bank reserved, swap buffer or tag queue full).  Must stay
+        in lockstep with the commit in :meth:`_handle_sram_eviction`
+        (same victim, same destination decision).
         """
         can, victim = self.sram.peek_victim(block_addr)
         if not can:
-            return "sram_all_reserved"
+            return self.miss_path.reject(block_addr, cycle)
         if victim is None:
             return None  # free way: no eviction at all
         decision = self.arbiter.eviction_destination(victim.fill_pc)
@@ -291,14 +324,22 @@ class FuseCache(L1DCacheModel):
             if self.swap.is_full(cycle):
                 self.stats.swap_buffer_full_events += 1
                 self.stats.stt_write_stall_cycles += RETRY_INTERVAL
-                return "swap_full"
+                return self.miss_path.reject(
+                    block_addr, cycle, self.swap.next_release(), _SWAP_FULL
+                )
             if self.tag_queue.is_full(cycle):
-                self.stats.tag_queue_full_events += 1
-                self.stats.stt_write_stall_cycles += RETRY_INTERVAL
-                return "tag_queue_full"
+                return self._tag_queue_full(block_addr, cycle)
         if not self.stt.can_reserve(victim.block_addr):
-            return "stt_all_reserved"
+            return self.miss_path.reject(block_addr, cycle)
         return None
+
+    def _tag_queue_full(self, block_addr: int, cycle: int) -> Rejection:
+        """Reject until the oldest queued STT operation completes."""
+        self.stats.tag_queue_full_events += 1
+        self.stats.stt_write_stall_cycles += RETRY_INTERVAL
+        return self.miss_path.reject(
+            block_addr, cycle, self.tag_queue.next_release(), _TAG_QUEUE_FULL
+        )
 
     # ==================================================================
     # eviction / migration machinery
@@ -387,12 +428,21 @@ class FuseCache(L1DCacheModel):
         # Blocking mode (Hybrid): while an STT-MRAM write is in flight the
         # L1D cannot accept requests at all -- the access is rejected and
         # the SM's pipeline stalls (Section IV-A's motivation for the swap
-        # buffer and tag queue).
-        if not self.features.non_blocking and cycle < self._cache_busy_until:
-            gate_wait = min(self._cache_busy_until - cycle, RETRY_INTERVAL)
+        # buffer and tag queue).  Every attempt before the floor waits the
+        # full retry interval at the gate.
+        busy_until = self._cache_busy_until
+        if not self.features.non_blocking and cycle < busy_until:
+            gate_wait = min(busy_until - cycle, RETRY_INTERVAL)
             stats.stt_write_stall_cycles += gate_wait
             stats.bank_wait_cycles += gate_wait
-            return self.miss_path.reject(block, cycle)
+            stats.reservation_fails += 1
+            return Rejection(
+                AccessOutcome.RESERVATION_FAIL, cycle, (), block,
+                busy_until - (RETRY_INTERVAL - 1),
+                (("stt_write_stall_cycles", gate_wait),
+                 ("bank_wait_cycles", gate_wait),
+                 ("reservation_fails", 1)),
+            )
 
         stats.tag_lookups += 1
 
@@ -451,9 +501,7 @@ class FuseCache(L1DCacheModel):
             # Read hit: ride the tag queue (or the blocking bank).
             if self.features.non_blocking:
                 if self.tag_queue.is_full(cycle):
-                    stats.tag_queue_full_events += 1
-                    stats.stt_write_stall_cycles += RETRY_INTERVAL
-                    return self.miss_path.reject(block, cycle)
+                    return self._tag_queue_full(block, cycle)
                 ready = self.tag_queue.enqueue(
                     "read", cycle, extra_search_cycles=search_cycles - 1
                 )
@@ -500,7 +548,7 @@ class FuseCache(L1DCacheModel):
         # The SRAM side must be able to take the line first.
         hazard = self._sram_eviction_hazard(block, cycle)
         if hazard is not None:
-            return self.miss_path.reject(block, cycle)
+            return hazard
 
         drain_done, _ = self.tag_queue.flush(cycle)
         self.stats.tag_queue_flushes += 1
@@ -552,7 +600,7 @@ class FuseCache(L1DCacheModel):
         if decision.destination is Destination.SRAM:
             hazard = self._sram_eviction_hazard(block, cycle)
             if hazard is not None:
-                return self.miss_path.reject(block, cycle)
+                return hazard
             _, _, evicted = self.sram.reserve(block, cycle)
             if evicted is not None:
                 writebacks = self._handle_sram_eviction(evicted, cycle)

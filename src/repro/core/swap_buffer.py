@@ -79,6 +79,11 @@ class SwapBuffer:
             return True
         return self.occupancy(cycle) >= self.num_entries
 
+    def next_release(self) -> int:
+        """Earliest release cycle of a parked line (the first cycle a
+        full buffer has a free register again)."""
+        return min(entry.release_cycle for entry in self._entries.values())
+
     def contains(self, block_addr: int, cycle: int) -> bool:
         """True when *block_addr* is parked in the buffer at *cycle*."""
         self._prune(cycle)

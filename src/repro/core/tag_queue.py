@@ -86,6 +86,11 @@ class TagQueue:
         """True when no operation can be accepted at *cycle*."""
         return self.occupancy(cycle) >= self.capacity
 
+    def next_release(self) -> int:
+        """Completion cycle of the oldest pending operation (the first
+        cycle a full queue has a free slot again)."""
+        return self._pending[0]
+
     def free_at(self) -> int:
         """Cycle at which the bank drains everything currently queued."""
         return self._free_at

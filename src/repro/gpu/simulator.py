@@ -19,10 +19,13 @@ keeps the schedule bit-identical to the poll-every-SM loop this
 replaced (pinned by ``tests/test_golden_parity.py``).
 
 Events live in a typed wheel: fixed-shape heap entries tagged
-``_EV_FILL`` (off-chip response for a block) or ``_EV_RETRY``
-(re-present a rejected transaction), dispatched directly to the owning
-SM -- no per-event varargs callback indirection.  Per-transaction load
-*completions* are not events at all; the LSU retires hits eagerly (see
+``_EV_FILL`` (off-chip response for a block), ``_EV_RETRY`` (re-present
+a rejected transaction) or ``_EV_WAKE``, dispatched directly to the
+owning SM -- no per-event varargs callback indirection.  Entries order
+by (cycle, rank, seq): fills and wakes rank first, retries by their
+chain's same-cycle order key.  Per-transaction load *completions* are
+not events at all; the LSU retires hits eagerly, and a rejected
+transaction is only re-presented at a slot where it can succeed (see
 :mod:`repro.gpu.sm`).
 
 Warps consume a **packed trace arena** (columnar op/transaction buffers,
@@ -60,9 +63,12 @@ __all__ = [
 ]
 
 #: typed event-wheel tags (fixed-shape entries, direct dispatch)
-_EV_FILL = 0      # (cycle, seq, _EV_FILL, sm, block_addr, None, 0)
-_EV_RETRY = 1     # (cycle, seq, _EV_RETRY, sm, request, waiting_warp, attempts)
-_EV_WAKE = 2      # (cycle, seq, _EV_WAKE, sm_id, None, None, 0)
+_EV_FILL = 0      # (cycle, _FIRST, seq, _EV_FILL, sm, block_addr)
+_EV_RETRY = 1     # (cycle, chain.key, seq, _EV_RETRY, sm, chain)
+_EV_WAKE = 2      # (cycle, _FIRST, seq, _EV_WAKE, sm_id, None)
+
+#: rank of fills and wakes: ahead of every retry of their cycle
+_FIRST = (0,)
 
 
 class GPUSimulator:
@@ -158,21 +164,22 @@ class GPUSimulator:
         self._event_seq += 1
         heappush(
             self._events,
-            (cycle, self._event_seq, _EV_FILL, sm, block_addr, None, 0),
+            (cycle, _FIRST, self._event_seq, _EV_FILL, sm, block_addr),
         )
 
-    def schedule_retry(
-        self, cycle: int, sm: SM, request, waiting_warp, attempts: int
-    ) -> None:
-        """Typed event: re-present a transaction rejected by a hazard."""
-        if cycle < self.cycle:
-            cycle = self.cycle
+    def schedule_retry(self, cycle: int, sm: SM, chain) -> None:
+        """Typed event: re-present a rejected transaction's chain at its
+        retry slot *cycle* (never in the past)."""
         self._event_seq += 1
         heappush(
             self._events,
-            (cycle, self._event_seq, _EV_RETRY, sm, request, waiting_warp,
-             attempts),
+            (cycle, chain.key, self._event_seq, _EV_RETRY, sm, chain),
         )
+
+    def next_seq(self) -> int:
+        """A fresh event sequence number (retry chains' birth order)."""
+        self._event_seq += 1
+        return self._event_seq
 
     def schedule_wake(self, cycle: int, sm_id: int) -> None:
         """Typed event: a warp's last outstanding load lands at *cycle*.
@@ -187,7 +194,7 @@ class GPUSimulator:
         self._event_seq += 1
         heappush(
             self._events,
-            (cycle, self._event_seq, _EV_WAKE, sm_id, None, None, 0),
+            (cycle, _FIRST, self._event_seq, _EV_WAKE, sm_id, None),
         )
 
     def note_warp_ready(self, sm_id: int) -> None:
@@ -195,18 +202,37 @@ class GPUSimulator:
         self._wakeups.add(sm_id)
         self._active.add(sm_id)
 
+    def note_sm_unparked(self, sm_id: int) -> None:
+        """An SM's issue port re-opened: poll it this cycle (a no-op
+        poll re-registers its next issue cycle)."""
+        self._active.add(sm_id)
+
     # ------------------------------------------------------------------
     def _run_due_events(self) -> None:
         events = self._events
         cycle = self.cycle
         while events and events[0][0] <= cycle:
-            _, _, kind, target, a, b, c = heappop(events)
+            _, _, _, kind, target, payload = heappop(events)
             if kind == _EV_FILL:
-                target._handle_fill(a, cycle)
+                target._handle_fill(payload, cycle)
             elif kind == _EV_RETRY:
-                target._present(a, b, cycle, c)
+                target._retry(payload, cycle)
             else:  # _EV_WAKE
                 self.note_warp_ready(target)
+
+    def _sample(self, threshold: int) -> int:
+        """Record a timeline row at the first cycle at or after
+        *threshold* that presenting every retry attempt would have
+        visited, with the attempts skipped before it charged; returns
+        the next threshold."""
+        sms = self.sms
+        for sm in sms:
+            slot = sm.skipped_slot(threshold)
+            if slot is not None and slot < self.cycle:
+                self.cycle = slot
+        for sm in sms:
+            sm.charge_skipped(self.cycle)
+        return self.sampler.sample(self.cycle, sms, self.memory)
 
     # ------------------------------------------------------------------
     def run(self, workload_name: str = "", config_name: str = "") -> SimulationResult:
@@ -258,17 +284,29 @@ class GPUSimulator:
                 if wake_heap and (nxt is None or wake_heap[0][0] < nxt):
                     nxt = wake_heap[0][0]
                 if nxt is None:
-                    if all(sm.done for sm in sms):
+                    parked = [
+                        (sm.sm_id, address) for sm in sms
+                        for address in sm.parked_addresses()
+                    ]
+                    if not parked and all(sm.done for sm in sms):
                         break
-                    stuck = [sm.sm_id for sm in sms if not sm.done]
+                    stuck = sorted(
+                        {sm.sm_id for sm in sms if not sm.done}
+                        | {sm_id for sm_id, _ in parked}
+                    )
                     raise RuntimeError(
                         f"deadlock at cycle {cycle}: SMs {stuck} have "
                         "blocked warps but no pending events"
+                        + "".join(
+                            f"; SM {sm_id} holds parked transaction "
+                            f"0x{address:x} with no fill to wake it"
+                            for sm_id, address in parked
+                        )
                     )
                 self.cycle = nxt if nxt > cycle else cycle + 1
 
             if self.cycle >= sample_at:
-                sample_at = sampler.sample(self.cycle, sms, self.memory)
+                sample_at = self._sample(sample_at)
 
             if self.cycle > max_cycles:
                 raise RuntimeError(

@@ -31,9 +31,38 @@ immediately; miss-path requests when their fill's completion list is
 processed).  The pool never shrinks below the SM's natural outstanding
 depth, so steady state creates no request objects at all.
 
-``RESERVATION_FAIL`` results retry after ``RETRY_INTERVAL`` cycles, which
-is how structural hazards (MSHR full, tag-queue full, swap-buffer full,
-all-ways-reserved) convert into the stall cycles of Figure 15.
+A ``RESERVATION_FAIL`` retries on a ``RETRY_INTERVAL`` grid (slots
+``last_fail + 4k``), which is how structural hazards (MSHR full,
+tag-queue full, swap-buffer full, all-ways-reserved, Hybrid's blocking
+STT write) convert into the stall cycles of Figure 15.  A retry that
+cannot succeed is never presented:
+
+* **parking** -- a bundled engine rejects with a
+  :class:`~repro.cache.interface.Rejection` whose ``floor`` is the
+  earliest cycle a time-based blocker clears (``NEVER`` for a
+  structural one).  When the floor lies past the next slot the
+  transaction parks;
+* **wake rules** -- a parked transaction is re-presented at the first of
+  its slots that falls after a fill or an accepted access on this L1D,
+  or at its floor, whichever comes first.  Until then the L1D cannot
+  change, so every skipped attempt would have been rejected again;
+* **charge** -- on re-presentation the skipped attempts are charged in
+  closed form: ``retries``, ``lsu_stall_cycles``, the livelock attempt
+  count and the rejection's ``charge`` (its ``CacheStats`` delta) times
+  the number skipped.  First presentations and accepted accesses pay
+  nothing for it;
+* **issue** -- while the SM holds a parked transaction its issue port
+  stays closed, as it did when every failed attempt pushed
+  ``port_busy_until`` past the next slot;
+* **same-cycle order** -- memory calls are ``busy_until``-ordered, so a
+  re-presented retry keeps the place a per-slot retry event had among
+  the events of its cycle: fills first (every fill is scheduled at
+  least 48 cycles before it lands), then transactions first rejected at
+  batch offset ``k >= 1`` by (-first slot, birth), then those first
+  rejected at offset 0 by birth.  :attr:`Retry.key` is that order.
+
+Together these keep every result bit-identical to presenting each
+attempt (pinned by ``tests/test_golden_parity.py``).
 """
 
 from __future__ import annotations
@@ -41,6 +70,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.cache.interface import (
+    NEVER,
     RETRY_INTERVAL,
     AccessOutcome,
     L1DCacheModel,
@@ -51,7 +81,7 @@ from repro.gpu.warp import Warp
 from repro.workloads.trace import COMPUTE, LOAD
 
 __all__ = [
-    "MAX_RETRIES", "SM",
+    "MAX_RETRIES", "Retry", "SM",
 ]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -59,6 +89,46 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 #: Retries per transaction before the simulator declares livelock.
 MAX_RETRIES = 100_000
+
+#: ``port_busy_until`` while the SM holds a parked transaction
+_PARKED = NEVER
+
+#: same-cycle order positions (compared with :attr:`Retry.key`) of a
+#: change made by a fill (before every retry of the cycle) and by the
+#: issue phase (after all of them)
+_BEFORE_RETRIES = (0,)
+_AFTER_RETRIES = (3,)
+
+
+class Retry:
+    """A rejected transaction between two presentations.
+
+    ``last`` is the slot of its latest attempt (presented or charged),
+    ``due`` the slot it is scheduled at (None: parked until a wake-up),
+    ``charge`` the counter delta of one skipped attempt and ``key`` its
+    same-cycle order among retries (see the module docs).
+    """
+
+    __slots__ = (
+        "request", "warp", "key", "attempts", "last", "due", "charge",
+        "parked",
+    )
+
+    def __init__(self, request: MemoryRequest, warp: Optional[Warp],
+                 key: tuple) -> None:
+        self.request = request
+        self.warp = warp
+        self.key = key
+        self.attempts = 0
+        self.last = 0
+        self.due: Optional[int] = None
+        self.charge: tuple = ()
+        self.parked = False
+
+    def slot_from(self, cycle: int) -> int:
+        """Its first retry slot at or after *cycle*."""
+        return self.last + RETRY_INTERVAL * max(
+            1, -(-(cycle - self.last) // RETRY_INTERVAL))
 
 
 class SM:
@@ -84,6 +154,11 @@ class SM:
         self.load_transactions = 0
         self.store_transactions = 0
         self.retries = 0
+        #: live retry chains, and the parked subset of them
+        self._chains: List[Retry] = []
+        self._parked: List[Retry] = []
+        #: ``port_busy_until`` from before the SM parked
+        self._port_saved = 0
         self._done = False
         #: recycled MemoryRequest objects (hit-path allocation freedom);
         #: per-SM so ``sm_id`` never needs rewriting on reuse
@@ -125,8 +200,8 @@ class SM:
         if not alive:
             self._done = True
             return None
-        if best is None:
-            return None
+        if best is None or self.port_busy_until >= _PARKED:
+            return None  # a parked SM re-enters the ready set on wake-up
         return max(best, self.port_busy_until, cycle)
 
     # ------------------------------------------------------------------
@@ -211,7 +286,7 @@ class SM:
                     warp_id=warp_id,
                     issue_cycle=arrival,
                 )
-            present(request, waiting_warp, arrival, 0)
+            present(request, waiting_warp, arrival, None)
             arrival += 1
 
     # ------------------------------------------------------------------
@@ -220,19 +295,15 @@ class SM:
         request: MemoryRequest,
         waiting_warp: Optional[Warp],
         cycle: int,
-        attempts: int,
+        chain: Optional[Retry],
     ) -> None:
-        """Present one transaction to the L1D, retrying on hazards.
+        """Present one transaction to the L1D (*chain*: its retry chain,
+        None on the first presentation).
 
         Requests the cache is finished with (hits and bypasses) return
         to the SM's pool here; miss-path requests stay referenced by the
         MSHR until :meth:`_handle_fill` recycles them.
         """
-        if attempts > MAX_RETRIES:
-            raise RuntimeError(
-                f"livelock: transaction 0x{request.address:x} on SM "
-                f"{self.sm_id} exceeded {MAX_RETRIES} retries"
-            )
         sim = self.sim
         result = self.l1d.access(request, cycle)
 
@@ -240,6 +311,14 @@ class SM:
             sim.memory.issue_writeback(dirty_block, self.sm_id, cycle)
 
         outcome = result.outcome
+        if outcome is AccessOutcome.RESERVATION_FAIL:
+            self._reject(request, waiting_warp, cycle, chain, result)
+            return
+        if chain is not None:
+            chain.due = None
+            self._chains.remove(chain)
+        if self._parked:
+            self._wake(_AFTER_RETRIES if chain is None else chain.key)
         if outcome is AccessOutcome.HIT:
             if waiting_warp is not None and waiting_warp.complete_transaction_at(
                 result.ready_cycle
@@ -256,34 +335,150 @@ class SM:
             )
             sim.schedule_fill(completion, self, request.block_addr)
             return
-        if outcome is AccessOutcome.MISS_BYPASS:
-            if request.is_write:
-                # a bypassed store is write traffic straight to L2
-                sim.memory.issue_writeback(
-                    request.block_addr, self.sm_id, cycle
-                )
-            else:
-                completion = sim.memory.issue_read(
-                    request.block_addr, self.sm_id, cycle
-                )
-                if waiting_warp is not None and (
-                    waiting_warp.complete_transaction_at(completion)
-                ):
-                    sim.schedule_wake(waiting_warp.ready_at, self.sm_id)
-            self._request_pool.append(request)
-            return
-        # RESERVATION_FAIL: the LSU cannot hand the transaction over, so
-        # the in-order memory pipeline backs up and the SM's issue port
-        # stalls until the retry -- this is how cache thrashing (MSHR and
-        # way exhaustion) throttles the whole SM, the paper's motivating
-        # pathology for the small L1-SRAM.  The request rides the retry
-        # event and re-enters here, so it is not recycled yet.
+        # MISS_BYPASS
+        if request.is_write:
+            # a bypassed store is write traffic straight to L2
+            sim.memory.issue_writeback(request.block_addr, self.sm_id, cycle)
+        else:
+            completion = sim.memory.issue_read(
+                request.block_addr, self.sm_id, cycle
+            )
+            if waiting_warp is not None and (
+                waiting_warp.complete_transaction_at(completion)
+            ):
+                sim.schedule_wake(waiting_warp.ready_at, self.sm_id)
+        self._request_pool.append(request)
+
+    def _reject(
+        self,
+        request: MemoryRequest,
+        waiting_warp: Optional[Warp],
+        cycle: int,
+        chain: Optional[Retry],
+        result,
+    ) -> None:
+        """RESERVATION_FAIL: the LSU cannot hand the transaction over, so
+        the in-order memory pipeline backs up and the SM's issue port
+        stalls until the retry -- this is how cache thrashing (MSHR and
+        way exhaustion) throttles the whole SM, the paper's motivating
+        pathology for the small L1-SRAM.  The request rides its retry
+        chain, so it is not recycled yet."""
         self.retries += 1
-        retry_at = cycle + RETRY_INTERVAL
-        if retry_at > self.port_busy_until:
-            self.port_busy_until = retry_at
         self.lsu_stall_cycles += RETRY_INTERVAL
-        sim.schedule_retry(retry_at, self, request, waiting_warp, attempts + 1)
+        sim = self.sim
+        if chain is None:
+            birth = sim.next_seq()
+            # first rejection: a batch offset k >= 1 presents ahead of
+            # the clock (see the module docs for the order)
+            key = (1, -cycle, birth) if cycle > sim.cycle else (2, birth)
+            chain = Retry(request, waiting_warp, key)
+            self._chains.append(chain)
+        chain.attempts += 1
+        chain.last = cycle
+        retry_at = cycle + RETRY_INTERVAL
+        # a model that states no floor retries at the next slot
+        floor = getattr(result, "floor", retry_at)
+        if floor <= retry_at:
+            chain.due = retry_at
+            if retry_at > self.port_busy_until:
+                self.port_busy_until = retry_at
+            sim.schedule_retry(retry_at, self, chain)
+            return
+        chain.charge = result.charge
+        chain.parked = True
+        if not self._parked:
+            self._port_saved = self.port_busy_until
+            self.port_busy_until = _PARKED
+        self._parked.append(chain)
+        if floor >= NEVER:
+            chain.due = None
+        else:
+            chain.due = chain.slot_from(floor)
+            sim.schedule_retry(chain.due, self, chain)
+
+    def _retry(self, chain: Retry, cycle: int) -> None:
+        """A retry slot came up: re-present *chain*, first charging the
+        attempts it skipped."""
+        if chain.due != cycle:
+            return  # superseded by an earlier wake-up
+        if chain.parked:  # reached its floor
+            chain.parked = False
+            self._parked.remove(chain)
+            if not self._parked:
+                self._reopen()
+        skipped = (cycle - chain.last) // RETRY_INTERVAL - 1
+        if skipped > 0:
+            self._charge(chain, skipped)
+        if chain.attempts > MAX_RETRIES:
+            raise RuntimeError(
+                f"livelock: transaction 0x{chain.request.address:x} on SM "
+                f"{self.sm_id} exceeded {MAX_RETRIES} retries"
+            )
+        self._present(chain.request, chain.warp, cycle, chain)
+
+    def _charge(self, chain: Retry, skipped: int) -> None:
+        """Credit *skipped* attempts of *chain* in closed form."""
+        self.retries += skipped
+        self.lsu_stall_cycles += RETRY_INTERVAL * skipped
+        chain.attempts += skipped
+        chain.last += RETRY_INTERVAL * skipped
+        stats = self.l1d.stats
+        for name, amount in chain.charge:
+            setattr(stats, name, getattr(stats, name) + amount * skipped)
+
+    def _wake(self, position: tuple) -> None:
+        """The L1D changed at *position* in the current cycle's order:
+        every parked chain moves to its first slot after the change."""
+        sim = self.sim
+        now = sim.cycle
+        for chain in self._parked:
+            slot = chain.slot_from(now)
+            if slot == now and position > chain.key:
+                slot += RETRY_INTERVAL  # its slot this cycle came first
+            chain.parked = False
+            if chain.due is None or slot < chain.due:
+                chain.due = slot
+                sim.schedule_retry(slot, self, chain)
+        self._parked.clear()
+        self._reopen()
+
+    def _reopen(self) -> None:
+        """The last parked chain left: restore the issue port to where
+        the per-slot attempts would have left it."""
+        port = self._port_saved
+        for chain in self._chains:
+            if chain.due > port:
+                port = chain.due
+        self.port_busy_until = port
+        self.sim.note_sm_unparked(self.sm_id)
+
+    # ------------------------------------------------------------------
+    def skipped_slot(self, cycle: int) -> Optional[int]:
+        """Earliest retry slot at or after *cycle* that a chain skips."""
+        best = None
+        for chain in self._chains:
+            slot = chain.slot_from(cycle)
+            if (chain.due is None or slot < chain.due) and (
+                best is None or slot < best
+            ):
+                best = slot
+        return best
+
+    def charge_skipped(self, cycle: int) -> None:
+        """Credit every skipped attempt before *cycle* (timeline rows
+        must count them as if they had been presented)."""
+        for chain in self._chains:
+            limit = cycle if chain.due is None else min(cycle, chain.due)
+            skipped = (limit - chain.last - 1) // RETRY_INTERVAL
+            if skipped > 0:
+                self._charge(chain, skipped)
+
+    def parked_addresses(self) -> List[int]:
+        """Addresses of parked transactions with no retry scheduled."""
+        return [
+            chain.request.address for chain in self._parked
+            if chain.due is None
+        ]
 
     # ------------------------------------------------------------------
     def _handle_fill(self, block_addr: int, cycle: int) -> None:
@@ -303,3 +498,5 @@ class SM:
         # the MSHR entry is released; its requests (loads and stores
         # alike) are dead and return to the pool
         self._request_pool.extend(fill.completed)
+        if self._parked:
+            self._wake(_BEFORE_RETRIES)

@@ -8,6 +8,9 @@ forever; each must fail *loudly* with an actionable message:
   the stuck SMs), and
 * the LSU livelock guard (``MAX_RETRIES`` consecutive reservation
   failures on one transaction).
+
+A transaction parked on a structural hazard waits for a fill; when none
+is coming the deadlock detector names it.
 """
 
 from __future__ import annotations
@@ -15,16 +18,22 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.interface import (
+    NEVER,
     AccessOutcome,
     AccessResult,
     FillResult,
     L1DCacheModel,
+    Rejection,
 )
 from repro.core.factory import l1d_config, make_l1d
 from repro.gpu.config import fermi_like
 from repro.gpu.simulator import GPUSimulator
 from repro.workloads.benchmarks import benchmark
-from repro.workloads.trace import TraceScale, load_instruction
+from repro.workloads.trace import (
+    TraceScale,
+    load_instruction,
+    store_instruction,
+)
 
 
 class AlwaysRejectCache(L1DCacheModel):
@@ -40,6 +49,20 @@ class AlwaysRejectCache(L1DCacheModel):
 
     def fill(self, block_addr, cycle):  # pragma: no cover - never reached
         return FillResult(cycle, [], ())
+
+
+class NeverClearsCache(AlwaysRejectCache):
+    """An L1D whose every rejection is a structural hazard (floor NEVER)
+    although it never has a fill in flight."""
+
+    name = "never-clears"
+
+    def _access_impl(self, request, cycle):
+        self.stats.reservation_fails += 1
+        return Rejection(
+            AccessOutcome.RESERVATION_FAIL, cycle, (), request.block_addr,
+            NEVER, (("reservation_fails", 1),),
+        )
 
 
 def _small_machine(num_sms: int = 1):
@@ -132,3 +155,30 @@ class TestLivelockGuard:
         sm = sim.sms[0]
         assert sm.lsu_stall_cycles >= sm.retries
         assert sm.l1d.stats.reservation_fails == sm.retries
+
+
+class TestParkedDeadlock:
+    def _parked_sim(self, instruction) -> GPUSimulator:
+        return GPUSimulator(
+            _small_machine(2),
+            l1d_factory=NeverClearsCache,
+            warp_streams=lambda sm_id, warp_id: (
+                [instruction] if (sm_id, warp_id) == (1, 0) else []),
+            warps_per_sm=1,
+        )
+
+    def test_parked_load_without_fill_names_address(self):
+        sim = self._parked_sim(load_instruction(0x40, [0x1280]))
+        with pytest.raises(RuntimeError, match=(
+            r"deadlock .*SMs \[1\].*SM 1 holds parked transaction 0x1280"
+        )):
+            sim.run()
+        # parked after its first attempt: nothing was retried in a loop
+        assert sim.sms[1].retries == 1
+
+    def test_parked_store_is_reported_although_no_warp_waits(self):
+        sim = self._parked_sim(store_instruction(0x40, [0x2300]))
+        with pytest.raises(RuntimeError, match=(
+            r"SMs \[1\].*SM 1 holds parked transaction 0x2300"
+        )):
+            sim.run()
