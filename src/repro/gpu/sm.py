@@ -406,9 +406,7 @@ class SM:
             self._parked.remove(chain)
             if not self._parked:
                 self._reopen()
-        skipped = (cycle - chain.last) // RETRY_INTERVAL - 1
-        if skipped > 0:
-            self._charge(chain, skipped)
+        self._charge_before(chain, cycle)
         if chain.attempts > MAX_RETRIES:
             raise RuntimeError(
                 f"livelock: transaction 0x{chain.request.address:x} on SM "
@@ -416,8 +414,12 @@ class SM:
             )
         self._present(chain.request, chain.warp, cycle, chain)
 
-    def _charge(self, chain: Retry, skipped: int) -> None:
-        """Credit *skipped* attempts of *chain* in closed form."""
+    def _charge_before(self, chain: Retry, cycle: int) -> None:
+        """Credit, in closed form, the attempts *chain* skipped at its
+        slots before *cycle*."""
+        skipped = (cycle - chain.last - 1) // RETRY_INTERVAL
+        if skipped <= 0:
+            return
         self.retries += skipped
         self.lsu_stall_cycles += RETRY_INTERVAL * skipped
         chain.attempts += skipped
@@ -468,10 +470,8 @@ class SM:
         """Credit every skipped attempt before *cycle* (timeline rows
         must count them as if they had been presented)."""
         for chain in self._chains:
-            limit = cycle if chain.due is None else min(cycle, chain.due)
-            skipped = (limit - chain.last - 1) // RETRY_INTERVAL
-            if skipped > 0:
-                self._charge(chain, skipped)
+            self._charge_before(
+                chain, cycle if chain.due is None else min(cycle, chain.due))
 
     def parked_addresses(self) -> List[int]:
         """Addresses of parked transactions with no retry scheduled."""

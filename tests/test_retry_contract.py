@@ -26,6 +26,8 @@ from repro.cache.interface import (
     NEVER,
     RETRY_INTERVAL,
     AccessOutcome,
+    AccessResult,
+    L1DCacheModel,
     Rejection,
 )
 from repro.core.factory import l1d_config, make_l1d
@@ -33,7 +35,7 @@ from repro.core.fuse_cache import FuseCache, FuseFeatures
 from repro.gpu.config import fermi_like
 from repro.gpu.simulator import GPUSimulator
 from repro.workloads.benchmarks import benchmark
-from repro.workloads.trace import TraceScale
+from repro.workloads.trace import TraceScale, load_instruction
 from tests.conftest import load
 
 ENGINES = ("L1-SRAM", "FA-SRAM", "L1-NVM", "By-NVM", "Oracle", "Hybrid",
@@ -146,6 +148,29 @@ def test_full_mshr_rejects_until_a_fill(name):
     assert checked == STRUCTURAL_SLOTS
 
 
+def _warm_then_miss(cache, request) -> None:
+    """Populate the STT-MRAM bank (and its CBFs), then keep misses in
+    flight: later rejected searches poll false-positive groups."""
+    cycle = 0
+    for block in range(600):
+        if cache.access(request(block), cycle).outcome is AccessOutcome.MISS:
+            cache.fill(block, cycle + 1)
+        cycle += 2
+    for block in range(1000, 1040):
+        cache.access(request(block), cycle)
+        cycle += 1
+
+
+def test_rejected_approximate_search_is_charged():
+    build = lambda: make_l1d(l1d_config("Dy-FUSE"))  # noqa: E731
+    probe = build()
+    _warm_then_miss(probe, _requests())
+    result = probe.access(load(2001 << 7), 2000)
+    assert dict(result.charge)["tag_search_stall_cycles"] > 0
+    checked = assert_retry_contract(build, _warm_then_miss, 2001, 2000)
+    assert checked == STRUCTURAL_SLOTS
+
+
 def test_structural_rejection_reports_never():
     cache = make_l1d(l1d_config("L1-SRAM"))
     _fill_mshr(cache)
@@ -247,3 +272,82 @@ def test_simulator_skips_futile_attempts():
     assert result.retries == result.l1d.reservation_fails > 0
     assert presented[0] < result.l1d.accesses + result.retries
     assert all(not sm._chains and not sm._parked for sm in sim.sms)
+
+
+# ----------------------------------------------------------------------
+class ScriptedCache(L1DCacheModel):
+    """Logs every presentation.  Block ``parked`` is rejected with floor
+    NEVER until block ``change`` has been accepted (the one change that
+    can clear it); every other block is rejected with no floor its first
+    ``rejections[block]`` times, then hits."""
+
+    name = "scripted"
+
+    def __init__(self, parked: int, change: int, rejections: dict) -> None:
+        super().__init__()
+        self.parked = parked
+        self.change = change
+        self.rejections = dict(rejections)
+        self.changed = False
+        self.log = []
+
+    def _access_impl(self, request, cycle):
+        block = request.block_addr
+        self.log.append((block, cycle))
+        if block == self.parked and not self.changed:
+            self.stats.reservation_fails += 1
+            return Rejection(
+                AccessOutcome.RESERVATION_FAIL, cycle, (), block, NEVER,
+                (("reservation_fails", 1),),
+            )
+        if self.rejections.get(block, 0) > 0:
+            self.rejections[block] -= 1
+            self.stats.reservation_fails += 1
+            return AccessResult(AccessOutcome.RESERVATION_FAIL, cycle, (),
+                                block)
+        if block == self.change:
+            self.changed = True
+        return AccessResult(AccessOutcome.HIT, cycle + 1, (), block)
+
+    def fill(self, block_addr, cycle):  # pragma: no cover - all hits
+        raise AssertionError("no misses in this script")
+
+
+def _scripted_run(parked: int, change: int, rejections: dict):
+    """One warp loads blocks 0..4 (batch offsets 0..4); returns the
+    cache and the batch's issue cycle."""
+    cache = ScriptedCache(parked, change, rejections)
+    stream = [load_instruction(0x40, [block << 7 for block in range(5)])]
+    sim = GPUSimulator(
+        fermi_like().with_overrides(num_sms=1), l1d_factory=lambda: cache,
+        warp_streams=lambda sm_id, warp_id: list(stream), warps_per_sm=1,
+    )
+    sim.run()
+    issue = cache.log[0][1]
+    assert cache.log[0][0] == 0
+    assert cache.stats.reservation_fails == sim.sms[0].retries
+    return cache, issue, sim.sms[0].retries
+
+
+def _presented(cache, block: int, issue: int):
+    return [cycle - issue for b, cycle in cache.log if b == block]
+
+
+def test_wake_after_a_later_retry_waits_one_slot():
+    """Offset 4 parks; offset 0 (ordered after it) is accepted at +8, so
+    the parked slot at +8 had already come: it retries at +12."""
+    cache, issue, retries = _scripted_run(parked=4, change=0,
+                                          rejections={0: 2})
+    assert _presented(cache, 0, issue) == [0, 4, 8]
+    assert _presented(cache, 4, issue) == [4, 12]
+    assert retries == 2 + 2  # the skipped attempt at +8 is charged
+
+
+def test_wake_after_an_earlier_retry_presents_same_cycle():
+    """Offset 0 parks; offset 4 (ordered before it) is accepted at +12,
+    so the parked slot at +12 is still ahead: it retries at once."""
+    cache, issue, retries = _scripted_run(
+        parked=0, change=4, rejections={1: 4, 2: 4, 3: 4, 4: 2})
+    assert _presented(cache, 4, issue) == [4, 8, 12]
+    assert _presented(cache, 0, issue) == [0, 12]
+    assert retries == 3 + 2 + 3 * 4
