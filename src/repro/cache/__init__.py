@@ -1,10 +1,14 @@
-"""Generic cache substrate: tag arrays, replacement policies, MSHRs and the
+"""Generic cache substrate: tag arrays, LRU/FIFO replacement, MSHRs and the
 baseline L1D cache models the paper evaluates FUSE against.
 
 The modules in this package know nothing about STT-MRAM heterogeneity; they
-provide the building blocks (``TagArray``, ``MSHR``, ``BaseCache``) that both
-the baseline caches (``L1-SRAM``, ``FA-SRAM``, ``L1-NVM``, ``By-NVM``,
-``Oracle``) and the FUSE engine in :mod:`repro.core` are assembled from.
+provide the building blocks (``TagArray``, ``MSHR``, ``BaseCache`` and the
+shared primitives of :mod:`repro.cache.engine`) that both the baseline
+caches and the FUSE engine in :mod:`repro.core` are assembled from.  One
+``BaseCache`` models ``L1-SRAM``, ``FA-SRAM`` and ``L1-NVM`` by geometry
+and bank timing alone (:func:`repro.core.factory.make_l1d` picks them;
+:func:`~repro.cache.tag_array.sets_and_ways` turns a capacity into sets
+and ways); ``ByNVMCache`` and ``OracleCache`` are the other baselines.
 """
 
 from repro.cache.interface import (
@@ -17,17 +21,10 @@ from repro.cache.mshr import MSHR, MSHREntry
 from repro.cache.basecache import BaseCache
 from repro.cache.nvm_bypass import ByNVMCache, DeadWritePredictor
 from repro.cache.oracle import OracleCache
-from repro.cache.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    PseudoLRUPolicy,
-    RandomPolicy,
-    make_replacement_policy,
-)
+from repro.cache.replacement import FIFOPolicy, LRUPolicy
 from repro.cache.request import AccessType, MemoryRequest, block_address
-from repro.cache.sram_cache import make_fa_sram_cache, make_sram_cache
 from repro.cache.stats import CacheStats
-from repro.cache.tag_array import CacheLine, TagArray
+from repro.cache.tag_array import CacheLine, TagArray, sets_and_ways
 
 __all__ = [
     "AccessOutcome",
@@ -46,11 +43,7 @@ __all__ = [
     "MSHREntry",
     "MemoryRequest",
     "OracleCache",
-    "PseudoLRUPolicy",
-    "RandomPolicy",
     "TagArray",
     "block_address",
-    "make_fa_sram_cache",
-    "make_replacement_policy",
-    "make_sram_cache",
+    "sets_and_ways",
 ]

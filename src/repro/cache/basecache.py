@@ -4,7 +4,8 @@
 the paper's baselines are built from.  The same engine models
 
 * ``L1-SRAM``  -- 32 KB, 64 sets x 4 ways, 1-cycle reads and writes,
-* ``FA-SRAM`` -- 32 KB, 1 set x 256 ways, LRU (idealised full associativity),
+* ``FA-SRAM`` -- 32 KB, 1 set x 256 ways (idealised full associativity:
+  single-cycle tag search regardless of associativity),
 * ``L1-NVM``  -- 128 KB pure STT-MRAM, 256 sets x 4 ways, 5-cycle writes
   (Figure 3's "STT-MRAM GPU"),
 
@@ -40,7 +41,7 @@ __all__ = [
 
 
 class BaseCache(L1DCacheModel):
-    """Set-associative, write-back, write-allocate, non-blocking cache.
+    """Set-associative LRU, write-back, write-allocate, non-blocking cache.
 
     Args:
         num_sets: sets in the tag array (power of two).
@@ -51,7 +52,6 @@ class BaseCache(L1DCacheModel):
         read_occupancy: bank busy time per read (1 = fully pipelined).
         write_occupancy: bank busy time per write; STT-MRAM writes block
             the bank for the whole write (defaults to ``write_latency``).
-        replacement: replacement policy name.
         mshr_entries / mshr_max_merge: MSHR geometry.
         technology: ``"sram"`` or ``"stt"``; routes energy event counters.
     """
@@ -64,7 +64,6 @@ class BaseCache(L1DCacheModel):
         write_latency: int = 1,
         read_occupancy: int = 1,
         write_occupancy: Optional[int] = None,
-        replacement: str = "lru",
         mshr_entries: int = 32,
         mshr_max_merge: int = 8,
         technology: str = "sram",
@@ -72,7 +71,7 @@ class BaseCache(L1DCacheModel):
     ) -> None:
         super().__init__()
         self.name = name
-        self.tags = TagArray(num_sets, assoc, replacement)
+        self.tags = TagArray(num_sets, assoc)
         self.mshr = MSHR(mshr_entries, mshr_max_merge)
         self.read_latency = read_latency
         self.write_latency = write_latency
@@ -118,11 +117,9 @@ class BaseCache(L1DCacheModel):
         if not self.tags.can_reserve(block):
             return self.miss_path.reject(block, cycle)
 
-        _, _, evicted = self.tags.reserve(block, cycle)
+        _, _, evicted = self.tags.reserve(block)
         writebacks = self.writeback.evict(evicted)
-        self.miss_path.allocate(
-            block, request, destination=self.technology, cycle=cycle
-        )
+        self.miss_path.allocate(block, request, destination=self.technology)
         return AccessResult(AccessOutcome.MISS, cycle, writebacks, block)
 
     # ------------------------------------------------------------------
@@ -130,10 +127,7 @@ class BaseCache(L1DCacheModel):
         entry = self.miss_path.release(block_addr)
         primary = entry.requests[0]
         set_idx, way = self.tags.fill(
-            block_addr,
-            cycle,
-            is_write=primary.is_write,
-            fill_pc=primary.pc,
+            block_addr, is_write=primary.is_write, fill_pc=primary.pc
         )
         # account residency counters for merged secondaries
         MissPath.apply_merged(entry, self.tags.line(set_idx, way))

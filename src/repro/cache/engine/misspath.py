@@ -112,12 +112,9 @@ class MissPath:
         block: int,
         request: MemoryRequest,
         destination: str = "sram",
-        cycle: int = 0,
     ) -> MSHREntry:
         """Commit a primary miss (resources already checked)."""
-        entry = self.mshr.allocate(
-            block, request, destination=destination, cycle=cycle
-        )
+        entry = self.mshr.allocate(block, request, destination=destination)
         self.stats.misses += 1
         return entry
 

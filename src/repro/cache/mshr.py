@@ -30,10 +30,9 @@ class MSHREntry:
     block_addr: int
     requests: List[MemoryRequest] = field(default_factory=list)
     destination: str = "sram"
-    allocate_cycle: int = 0
-    #: metadata slot for cache engines (e.g. reserved way index)
-    reserved_way: int = -1
-    reserved_set: int = -1
+    #: read-level that motivated a FUSE placement, scored once the filled
+    #: line leaves the L1D (Figure 16)
+    predicted_level: Optional[object] = None
 
     @property
     def merged_count(self) -> int:
@@ -89,7 +88,6 @@ class MSHR:
         block_addr: int,
         request: MemoryRequest,
         destination: str = "sram",
-        cycle: int = 0,
     ) -> MSHREntry:
         """Allocate a new entry for a primary miss.
 
@@ -106,7 +104,6 @@ class MSHR:
             block_addr=block_addr,
             requests=[request],
             destination=destination,
-            allocate_cycle=cycle,
         )
         self._entries[block_addr] = entry
         return entry

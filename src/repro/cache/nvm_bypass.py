@@ -17,12 +17,10 @@ emergent output of this predictor and are reproduced by
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.cache.basecache import BaseCache
 from repro.cache.interface import AccessOutcome, AccessResult
-from repro.cache.request import BLOCK_SIZE, MemoryRequest
-from repro.cache.tag_array import EvictedLine
+from repro.cache.request import MemoryRequest
+from repro.cache.tag_array import EvictedLine, sets_and_ways
 from repro.core.sampler import SamplerTable, SaturatingCounterTable, pc_signature
 
 __all__ = [
@@ -93,16 +91,13 @@ class ByNVMCache(BaseCache):
         sampled_warps=(0, 12, 24, 36),
         name: str = "By-NVM",
     ) -> None:
-        num_lines = size_kb * 1024 // BLOCK_SIZE
-        if num_lines % assoc:
-            raise ValueError(f"{size_kb}KB not divisible into {assoc}-way sets")
+        num_sets, assoc = sets_and_ways(size_kb, assoc)
         super().__init__(
-            num_sets=num_lines // assoc,
+            num_sets=num_sets,
             assoc=assoc,
             read_latency=read_latency,
             write_latency=write_latency,
             write_occupancy=write_latency,
-            replacement="lru",
             mshr_entries=mshr_entries,
             mshr_max_merge=mshr_max_merge,
             technology="stt",

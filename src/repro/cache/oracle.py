@@ -72,7 +72,7 @@ class OracleCache(L1DCacheModel):
         if merged is not None:
             return merged
 
-        self.miss_path.allocate(block, request, cycle=cycle)
+        self.miss_path.allocate(block, request)
         return AccessResult(AccessOutcome.MISS, cycle, (), block)
 
     def fill(self, block_addr: int, cycle: int) -> FillResult:

@@ -17,26 +17,42 @@ counts.  Those feed two paper mechanisms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterator, List, Optional, Tuple
 
-from repro.cache.replacement import ReplacementPolicy, make_replacement_policy
+from repro.cache.replacement import LRUPolicy
+from repro.cache.request import BLOCK_SIZE
 
 __all__ = [
-    "CacheLine", "EvictedLine", "TagArray",
+    "CacheLine", "EvictedLine", "TagArray", "sets_and_ways",
 ]
+
+
+def sets_and_ways(size_kb: int, assoc: Optional[int]) -> Tuple[int, int]:
+    """``(num_sets, assoc)`` of a *size_kb* array of 128-byte lines.
+
+    ``assoc=None`` gives one fully-associative set of every line.
+
+    Raises:
+        ValueError: when the lines do not divide into *assoc*-way sets.
+    """
+    num_lines = size_kb * 1024 // BLOCK_SIZE
+    if assoc is None:
+        return 1, num_lines
+    if num_lines % assoc:
+        raise ValueError(f"{size_kb}KB is not divisible into {assoc}-way sets")
+    return num_lines // assoc, assoc
 
 
 @dataclass(slots=True)
 class CacheLine:
     """State of one cache line (one way of one set)."""
 
-    tag: int = -1
     valid: bool = False
     dirty: bool = False
     reserved: bool = False
-    #: block address stored, kept for convenience (tag encodes it already)
+    #: block address stored (the tag and the set index together)
     block_addr: int = -1
     #: PC of the request that allocated the line (predictor bookkeeping)
     fill_pc: int = 0
@@ -46,11 +62,9 @@ class CacheLine:
     writes_observed: int = 0
     #: loads observed while resident
     reads_observed: int = 0
-    fill_cycle: int = 0
 
     def reset(self) -> None:
         """Return the line to the invalid state."""
-        self.tag = -1
         self.valid = False
         self.dirty = False
         self.reserved = False
@@ -59,7 +73,6 @@ class CacheLine:
         self.predicted_level = None
         self.writes_observed = 0
         self.reads_observed = 0
-        self.fill_cycle = 0
 
 
 @dataclass(slots=True)
@@ -75,18 +88,24 @@ class EvictedLine:
 
 
 class TagArray:
-    """A ``num_sets`` x ``assoc`` tag array with pluggable replacement.
+    """A ``num_sets`` x ``assoc`` tag array with LRU or FIFO replacement.
 
     A fully-associative array is simply ``num_sets=1`` with a large
     associativity, which is exactly how the paper's FA-FUSE configures the
-    STT-MRAM bank (1 set x 512 ways, Table I).
+    STT-MRAM bank (1 set x 512 ways, FIFO, Table I).
+
+    Args:
+        num_sets: sets (a power of two).
+        assoc: ways per set.
+        policy: :class:`~repro.cache.replacement.LRUPolicy` (default) or
+            :class:`~repro.cache.replacement.FIFOPolicy`.
     """
 
     def __init__(
         self,
         num_sets: int,
         assoc: int,
-        replacement: str = "lru",
+        policy: type = LRUPolicy,
     ) -> None:
         if num_sets < 1 or assoc < 1:
             raise ValueError("num_sets and assoc must be >= 1")
@@ -94,9 +113,7 @@ class TagArray:
             raise ValueError("num_sets must be a power of two")
         self.num_sets = num_sets
         self.assoc = assoc
-        self.policy: ReplacementPolicy = make_replacement_policy(
-            replacement, num_sets, assoc
-        )
+        self.policy = policy(num_sets, assoc)
         self._sets: List[List[CacheLine]] = [
             [CacheLine() for _ in range(assoc)] for _ in range(num_sets)
         ]
@@ -176,10 +193,9 @@ class TagArray:
 
         Returns ``(can_reserve, victim_line)``: ``victim_line`` is the
         valid line that would be displaced, or None when a free way exists
-        (or when reservation is impossible).  Deterministic policies (LRU,
-        FIFO, PLRU) guarantee the subsequent :meth:`reserve` picks the same
-        victim; ``RandomPolicy`` does not (its RNG advances per call), so
-        check-then-commit cache engines should avoid it.
+        (or when reservation is impossible).  The subsequent
+        :meth:`reserve` picks the same victim, which the check-then-commit
+        cache engines rely on.
         """
         set_idx = self.set_index(block_addr)
         if self._free_count[set_idx] > 0:
@@ -195,7 +211,7 @@ class TagArray:
         return True, ways[victim_way]
 
     def reserve(
-        self, block_addr: int, cycle: int = 0
+        self, block_addr: int
     ) -> Tuple[int, int, Optional[EvictedLine]]:
         """Reserve a way for an in-flight fill of *block_addr*.
 
@@ -244,8 +260,6 @@ class TagArray:
         line.reset()
         line.reserved = True
         line.block_addr = block_addr
-        line.tag = block_addr >> 0
-        line.fill_cycle = cycle
         self._reserved_count[set_idx] += 1
         self._reserved_index[block_addr] = (set_idx, victim_way)
         self.policy.on_reserve(set_idx, victim_way)
@@ -256,7 +270,6 @@ class TagArray:
         block_addr: int,
         set_idx: int,
         way: int,
-        cycle: int,
         dirty: bool,
         fill_pc: int,
         predicted_level: Optional[object],
@@ -267,7 +280,6 @@ class TagArray:
         line.dirty = dirty
         line.fill_pc = fill_pc
         line.predicted_level = predicted_level
-        line.fill_cycle = cycle
         self._reserved_count[set_idx] -= 1
         del self._reserved_index[block_addr]
         self.policy.on_fill(set_idx, way)
@@ -276,7 +288,6 @@ class TagArray:
     def fill(
         self,
         block_addr: int,
-        cycle: int = 0,
         is_write: bool = False,
         fill_pc: int = 0,
         predicted_level: Optional[object] = None,
@@ -296,15 +307,13 @@ class TagArray:
             )
         set_idx, way = entry
         self._complete_reservation(
-            block_addr, set_idx, way, cycle, is_write, fill_pc,
-            predicted_level,
+            block_addr, set_idx, way, is_write, fill_pc, predicted_level,
         )
         return set_idx, way
 
     def install(
         self,
         block_addr: int,
-        cycle: int = 0,
         dirty: bool = False,
         fill_pc: int = 0,
         predicted_level: Optional[object] = None,
@@ -312,9 +321,9 @@ class TagArray:
         """Reserve-and-fill in one step (used for migrations between banks,
         where the data is already on chip and no fill response is pending).
         """
-        set_idx, way, evicted = self.reserve(block_addr, cycle)
+        set_idx, way, evicted = self.reserve(block_addr)
         self._complete_reservation(
-            block_addr, set_idx, way, cycle, dirty, fill_pc, predicted_level,
+            block_addr, set_idx, way, dirty, fill_pc, predicted_level,
         )
         return set_idx, way, evicted
 

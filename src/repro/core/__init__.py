@@ -6,18 +6,23 @@ structure):
 * :mod:`repro.core.bloom` -- counting Bloom filters + the NVM-CBF timing
   model (Section IV-C).
 * :mod:`repro.core.approx_assoc` -- CBF-guided associativity approximation
-  for the STT-MRAM bank (Section III-B).
+  for the STT-MRAM bank (Section III-B); every CBF is tested at once
+  through per-group bit lanes of one Python int.
 * :mod:`repro.core.sampler` -- the PC-signature memory-request sampler that
   both predictors are built on.
 * :mod:`repro.core.read_level_predictor` -- WM / neutral / WORM / WORO
   classification (Section IV-B).
 * :mod:`repro.core.tag_queue` -- non-blocking STT-MRAM service queue.
-* :mod:`repro.core.swap_buffer` -- SRAM-to-STT eviction staging registers.
+* :mod:`repro.core.swap_buffer` -- SRAM-to-STT eviction staging registers
+  (each holds only its release cycle; the line's tag is already in STT).
 * :mod:`repro.core.arbitration` -- the decision tree of Figure 9.
 * :mod:`repro.core.fuse_cache` -- the heterogeneous cache engine that the
   ``Hybrid``, ``Base-FUSE``, ``FA-FUSE`` and ``Dy-FUSE`` configurations all
   instantiate.
-* :mod:`repro.core.factory` -- named Table I configurations.
+* :mod:`repro.core.factory` -- named Table I configurations and
+  ``make_l1d``, which builds every L1D engine, baselines included.
+
+The package is pure standard library, like the rest of ``repro``.
 
 Exports resolve lazily (PEP 562): ``repro.cache`` modules import the
 sampler from here while ``repro.core.factory`` imports cache models from

@@ -1,8 +1,8 @@
 """Associativity approximation for the STT-MRAM bank (Section III-B).
 
 A true fully-associative cache compares every stored tag in parallel --
-prohibitive at 512 ways (the paper cites 30.6x area and 28.3x power versus
-4-way for even a 16 KB array).  FUSE instead:
+prohibitive at 512 ways (the paper cites 30.6x area and 28.3x power
+versus 4-way for even a 16 KB array).  FUSE instead:
 
 1. partitions the 512-way tag array into groups sized to the number of
    parallel comparators (4), and
@@ -16,28 +16,28 @@ workloads; CBF false positives add wasted iterations, which Figure 20
 quantifies.  The tag queue keeps those extra cycles off the SM's critical
 path (they surface as ``tag_search_stall_cycles``, Figure 15).
 
-Implementation note: the "test every CBF in parallel" step is priced
-through per-group **nonzero bitmasks** -- bit ``c`` of group *g*'s mask
-is set while counter ``(g, c)`` is nonzero, maintained incrementally on
-0<->1 crossings.  A key's membership in every group then collapses to
-one vectorised ``(masks & key_masks) == key_masks`` over a uint64 lane
-per group -- semantically identical to testing 128 independent
-:class:`~repro.core.bloom.CountingBloomFilter` objects (2-bit saturating
-counters, double hashing, no false negatives) but orders of magnitude
-faster, which the pure-Python simulator needs.  The hash-index and
-key-mask patterns are pure functions of the filter geometry, so they are
-memoised **process-wide** (shared across every SM's bank and every run
-of a sweep) rather than per instance.  The standalone class remains the
-reference implementation and the Figure 20 microbench subject; property
-tests assert the two agree on the no-false-negative invariant.
+Implementation note: the "test every CBF in parallel" step runs on plain
+Python ints laid out in **lanes** of ``cbf_counters`` bits, lane *g*
+holding group *g*.  One int holds every group's nonzero-counter bitmask
+(bit ``c`` of lane *g* is set while counter ``(g, c)`` is nonzero,
+maintained on 0<->1 crossings); a key's pattern is one int of the same
+shape.  The key's needed-but-zero bits ``pattern & ~nonzero`` get a
+lane-wise zero test (add the lane's low-bit mask, so any set bit carries
+into the lane's top bit), and ``int.bit_count()`` over the surviving
+lanes gives both the positive-group count and the positive groups ahead
+of the hit's group.  That is semantically identical to testing each
+group's :class:`~repro.core.bloom.CountingBloomFilter` (2-bit saturating
+counters, double hashing, no false negatives); a differential property
+test checks it against a plain loop over the counter rows.  The slot
+and pattern tables are pure functions of the filter geometry, so they
+are memoised **process-wide** (shared across every SM's bank and every
+run of a sweep) rather than per instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.bloom import NVMCBFTimingModel, _mix64
 
@@ -48,32 +48,17 @@ __all__ = [
 #: stride separating the hash streams of adjacent groups
 _GROUP_SALT = 0x9E3779B97F4A7C15
 
-#: geometry (num_cbfs, num_hashes, cbf_counters) -> shared pattern maps.
-#: Patterns depend only on the geometry and the key's two double-hash
-#: residues, so every bank of every SM in every run of the process
-#: shares one set (at most ``cbf_counters^2`` residue pairs each).
-_PATTERN_CACHE: Dict[Tuple[int, int, int], Dict[str, Dict]] = {}
+#: (num_cbfs, num_hashes, cbf_counters) -> (residue map, key map), both
+#: resolving to a ``(slots, pattern)`` pair.  Patterns depend only on the
+#: geometry and the key's two double-hash residues, so every bank of
+#: every SM in every run of the process shares one set (at most
+#: ``cbf_counters^2`` residue pairs each).
+_PATTERN_CACHE: Dict[Tuple[int, int, int], Tuple[Dict, Dict]] = {}
 
-#: per-geometry cap on the key -> pattern memo (the residue-pair maps
-#: underneath are naturally tiny; the key maps are what could grow with
-#: a huge-footprint workload)
+#: per-geometry cap on the key -> pattern memo (the residue-pair map
+#: underneath is naturally tiny; the key map is what could grow with a
+#: huge-footprint workload)
 _KEY_CACHE_CAP = 1 << 16
-
-
-def _shared_patterns(num_cbfs: int, num_hashes: int,
-                     cbf_counters: int) -> Dict[str, Dict]:
-    """The process-wide pattern maps for one filter geometry."""
-    geometry = (num_cbfs, num_hashes, cbf_counters)
-    patterns = _PATTERN_CACHE.get(geometry)
-    if patterns is None:
-        patterns = {
-            "slots": {},      # (h1m, h2m) -> tuple[tuple[int, ...], ...]
-            "masks": {},      # (h1m, h2m) -> np.ndarray[uint64]
-            "key_slots": {},  # key -> shared slots tuple
-            "key_masks": {},  # key -> shared mask array
-        }
-        _PATTERN_CACHE[geometry] = patterns
-    return patterns
 
 
 @dataclass(slots=True)
@@ -95,19 +80,19 @@ class SearchResult:
 
 
 class ApproximateAssociativeArray:
-    """Tag-search engine for a 1-set x N-way STT-MRAM bank.
+    """Tag-search engine mirroring a 1-set x N-way STT-MRAM tag array.
 
-    The array tracks *which way holds which block* and prices each lookup.
-    Replacement is FIFO (a rotating cursor over ways) when the array is
-    used standalone; when mirroring a cache engine's tag array, the engine
-    owns placement through :meth:`note_install` / :meth:`note_evict`.
+    The owning cache engine places lines in its authoritative
+    :class:`~repro.cache.tag_array.TagArray` and keeps this structure in
+    sync through :meth:`note_install` / :meth:`note_evict`, so that each
+    :meth:`search` is priced against the true contents.
 
     Args:
         num_ways: ways in the (single-set) array; Table I uses 512.
         num_cbfs: tag-array partitions, one CBF each (Table I: 128).
         num_hashes: hash functions per CBF (Table I: 3).
-        cbf_counters: counter-array length per CBF (Table I: 16; must fit
-            the uint64 mask lane, i.e. <= 64).
+        cbf_counters: counter-array length per CBF, and the lane width
+            of the search (Table I: 16).
         num_comparators: tags compared per polling iteration (4).
         exact: when True, model an ideal fully-associative search (single
             cycle, no CBFs) -- the comparison baseline of Figure 7b.
@@ -130,9 +115,8 @@ class ApproximateAssociativeArray:
             raise ValueError("num_cbfs must be in [1, num_ways]")
         if num_hashes < 1:
             raise ValueError("num_hashes must be >= 1")
-        if cbf_counters < 1 or cbf_counters > 64:
-            raise ValueError("cbf_counters must be in [1, 64] (one uint64 "
-                             "mask lane per group)")
+        if cbf_counters < 1:
+            raise ValueError("cbf_counters must be >= 1")
         self.num_ways = num_ways
         self.num_cbfs = num_cbfs
         self.num_hashes = num_hashes
@@ -147,34 +131,33 @@ class ApproximateAssociativeArray:
         self._counters: List[List[int]] = [
             [0] * cbf_counters for _ in range(num_cbfs)
         ]
-        #: per-group nonzero bitmask (see module docstring)
-        self._nonzero = np.zeros(num_cbfs, dtype=np.uint64)
-        self._patterns = _shared_patterns(num_cbfs, num_hashes, cbf_counters)
+        #: every group's nonzero-counter bitmask, one lane per group
+        self._nonzero = 0
+        lanes = range(0, num_cbfs * cbf_counters, cbf_counters)
+        #: each lane's top bit, and each lane's bits below it
+        self._lane_top = sum(1 << (lane + cbf_counters - 1) for lane in lanes)
+        self._lane_low = sum(
+            ((1 << (cbf_counters - 1)) - 1) << lane for lane in lanes
+        )
+        self._residues, self._keys = _PATTERN_CACHE.setdefault(
+            (num_cbfs, num_hashes, cbf_counters), ({}, {})
+        )
 
         self._way_block: List[int] = [-1] * num_ways
         self._block_way: Dict[int, int] = {}
-        self._fifo_cursor = 0
-
-        # lifetime statistics (aggregated into CacheStats by the owner)
-        self.tests = 0
-        self.updates = 0
-        self.false_positive_groups = 0
-        self.total_iterations = 0
-        self.total_searches = 0
 
     # ------------------------------------------------------------------
-    def _key_hashes(self, key: int) -> Tuple[int, int]:
+    def _key_pattern(self, key: int) -> Tuple[tuple, int]:
+        """*key*'s per-group counter slots and its lane pattern."""
+        cached = self._keys.get(key)
+        if cached is not None:
+            return cached
+        m = self.cbf_counters
         h1 = _mix64(key)
         h2 = _mix64(h1 ^ 0xDA942042E4DD58B5) | 1
-        return h1 % self.cbf_counters, h2 % self.cbf_counters
-
-    def _build_patterns(self, key: int) -> Tuple[tuple, np.ndarray]:
-        """Resolve (and memoise) *key*'s per-group slot/mask patterns."""
-        h1m, h2m = self._key_hashes(key)
-        residue = (h1m, h2m)
-        slots = self._patterns["slots"].get(residue)
-        if slots is None:
-            m = self.cbf_counters
+        h1m, h2m = h1 % m, h2 % m
+        resolved = self._residues.get((h1m, h2m))
+        if resolved is None:
             salt_step = _GROUP_SALT % m
             slots = tuple(
                 tuple(
@@ -183,151 +166,51 @@ class ApproximateAssociativeArray:
                 )
                 for group in range(self.num_cbfs)
             )
-            mask_ints = []
-            for group_slots in slots:
-                bits = 0
-                for s in group_slots:
-                    bits |= 1 << s
-                mask_ints.append(bits)
-            masks = np.array(mask_ints, dtype=np.uint64)
-            self._patterns["slots"][residue] = slots
-            self._patterns["masks"][residue] = masks
-        masks = self._patterns["masks"][residue]
-        if len(self._patterns["key_slots"]) < _KEY_CACHE_CAP:
-            self._patterns["key_slots"][key] = slots
-            self._patterns["key_masks"][key] = masks
-        return slots, masks
-
-    def _key_slots(self, key: int) -> tuple:
-        cached = self._patterns["key_slots"].get(key)
-        if cached is not None:
-            return cached
-        return self._build_patterns(key)[0]
-
-    def _key_masks(self, key: int) -> np.ndarray:
-        cached = self._patterns["key_masks"].get(key)
-        if cached is not None:
-            return cached
-        return self._build_patterns(key)[1]
-
-    def _group_indices(self, key: int, group: int) -> tuple:
-        """Per-group counter-slot indices (test helper)."""
-        return self._key_slots(key)[group]
-
-    def _group_of_way(self, way: int) -> int:
-        return way // self._group_size
-
-    # ------------------------------------------------------------------
-    def __contains__(self, block_addr: int) -> bool:
-        return block_addr in self._block_way
-
-    def occupancy(self) -> int:
-        return len(self._block_way)
-
-    def way_of(self, block_addr: int) -> Optional[int]:
-        """Stored way for a block (bypasses timing; used by tests)."""
-        return self._block_way.get(block_addr)
-
-    def group_test(self, block_addr: int, group: int) -> bool:
-        """Membership test of a single group's CBF (test helper)."""
-        row = self._counters[group]
-        return all(row[slot] > 0
-                   for slot in self._key_slots(block_addr)[group])
+            pattern = 0
+            for group, group_slots in enumerate(slots):
+                for slot in group_slots:
+                    pattern |= 1 << (group * m + slot)
+            resolved = (slots, pattern)
+            self._residues[(h1m, h2m)] = resolved
+        if len(self._keys) < _KEY_CACHE_CAP:
+            self._keys[key] = resolved
+        return resolved
 
     # ------------------------------------------------------------------
     def search(self, block_addr: int) -> SearchResult:
         """Perform (and price) one tag search for *block_addr*."""
-        self.total_searches += 1
         actual_way = self._block_way.get(block_addr)
 
         if self.exact:
             # Ideal fully-associative search: all comparators in parallel.
-            self.total_iterations += 1
             return SearchResult(actual_way, 1, 1, 0)
 
-        self.tests += 1
-        key_masks = self._key_masks(block_addr)
-        positive = (self._nonzero & key_masks) == key_masks
+        resolved = self._keys.get(block_addr)
+        if resolved is None:
+            resolved = self._key_pattern(block_addr)
+        # bits the key needs that are zero; a lane with any of them set
+        # carries into its top bit and marks the group negative
+        missing = resolved[1] & ~self._nonzero
+        low = self._lane_low
+        top = self._lane_top
+        positive = top ^ ((((missing & low) + low) | missing) & top)
 
         if actual_way is None:
             # A miss polls every positive group before concluding absent.
-            iterations = int(np.count_nonzero(positive))
+            iterations = positive.bit_count()
             false_positives = iterations
         else:
-            actual_group = self._group_of_way(actual_way)
             # CBFs have no false negatives: the actual group is positive,
             # and groups are polled in ascending index order.
-            position = int(np.count_nonzero(positive[:actual_group]))
-            iterations = position + 1
-            false_positives = position
+            ahead = (1 << (actual_way // self._group_size
+                           * self.cbf_counters)) - 1
+            false_positives = (positive & ahead).bit_count()
+            iterations = false_positives + 1
 
-        self.total_iterations += iterations
-        self.false_positive_groups += false_positives
         cycles = self.timing.test_cycles + max(1, iterations)
         return SearchResult(actual_way, cycles, iterations, false_positives)
 
     # ------------------------------------------------------------------
-    def _cbf_insert(self, block_addr: int, group: int) -> None:
-        row = self._counters[group]
-        for slot in self._key_slots(block_addr)[group]:
-            value = row[slot]
-            if value < self.COUNTER_MAX:
-                row[slot] = value + 1
-                if value == 0:
-                    self._nonzero[group] |= np.uint64(1 << slot)
-        self.updates += 1
-
-    def _cbf_remove(self, block_addr: int, group: int) -> None:
-        row = self._counters[group]
-        for slot in self._key_slots(block_addr)[group]:
-            value = row[slot]
-            # stuck counters stay at max (decrement would risk a false
-            # negative -- see repro.core.bloom)
-            if 0 < value < self.COUNTER_MAX:
-                row[slot] = value - 1
-                if value == 1:
-                    self._nonzero[group] &= np.uint64(
-                        0xFFFFFFFFFFFFFFFF ^ (1 << slot)
-                    )
-        self.updates += 1
-
-    # ------------------------------------------------------------------
-    def install(self, block_addr: int) -> Optional[int]:
-        """Place *block_addr* into the FIFO-selected way (standalone use).
-
-        Returns the block address evicted from that way, or None.
-
-        Raises:
-            RuntimeError: when the block is already present (the cache
-                engine must search before installing).
-        """
-        if block_addr in self._block_way:
-            raise RuntimeError(f"block 0x{block_addr:x} already installed")
-        way = self._fifo_cursor
-        self._fifo_cursor = (self._fifo_cursor + 1) % self.num_ways
-        evicted = self._way_block[way]
-        group = self._group_of_way(way)
-        if evicted != -1:
-            del self._block_way[evicted]
-            self._cbf_remove(evicted, group)
-        self._way_block[way] = block_addr
-        self._block_way[block_addr] = way
-        self._cbf_insert(block_addr, group)
-        return None if evicted == -1 else evicted
-
-    def remove(self, block_addr: int) -> bool:
-        """Invalidate *block_addr*; True when it was present."""
-        way = self._block_way.pop(block_addr, None)
-        if way is None:
-            return False
-        self._way_block[way] = -1
-        self._cbf_remove(block_addr, self._group_of_way(way))
-        return True
-
-    # ------------------------------------------------------------------
-    # Mirror mode: the FUSE cache engine owns placement through its
-    # authoritative TagArray and keeps this structure in sync so that
-    # searches are priced against the true contents.
     def note_install(self, block_addr: int, way: int) -> None:
         """Mirror an install performed by the owning tag array.
 
@@ -344,18 +227,31 @@ class ApproximateAssociativeArray:
             raise RuntimeError(f"block 0x{block_addr:x} already mirrored")
         self._way_block[way] = block_addr
         self._block_way[block_addr] = way
-        self._cbf_insert(block_addr, self._group_of_way(way))
+        group = way // self._group_size
+        row = self._counters[group]
+        lane = group * self.cbf_counters
+        for slot in self._key_pattern(block_addr)[0][group]:
+            value = row[slot]
+            if value < self.COUNTER_MAX:
+                row[slot] = value + 1
+                if value == 0:
+                    self._nonzero |= 1 << (lane + slot)
 
     def note_evict(self, block_addr: int) -> None:
-        """Mirror an eviction performed by the owning tag array."""
-        self.remove(block_addr)
-
-    # ------------------------------------------------------------------
-    @property
-    def false_positive_rate(self) -> float:
-        """False-positive groups per CBF test opportunity (Figure 20)."""
-        if self.tests == 0:
-            return 0.0
-        # Each search tests every CBF; a clean search polls at most one
-        # group.  Rate = wasted positives / total group tests.
-        return self.false_positive_groups / (self.tests * self.num_cbfs)
+        """Mirror an eviction performed by the owning tag array (a block
+        that is not mirrored is ignored)."""
+        way = self._block_way.pop(block_addr, None)
+        if way is None:
+            return
+        self._way_block[way] = -1
+        group = way // self._group_size
+        row = self._counters[group]
+        lane = group * self.cbf_counters
+        for slot in self._key_pattern(block_addr)[0][group]:
+            value = row[slot]
+            # stuck counters stay at max (decrement would risk a false
+            # negative -- see repro.core.bloom)
+            if 0 < value < self.COUNTER_MAX:
+                row[slot] = value - 1
+                if value == 1:
+                    self._nonzero &= ~(1 << (lane + slot))

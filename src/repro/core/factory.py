@@ -20,18 +20,15 @@ the rest on STT-MRAM (4x denser), so ``1/2`` reproduces the Table I
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
+from repro.cache.basecache import BaseCache
 from repro.cache.interface import L1DCacheModel
 from repro.cache.nvm_bypass import ByNVMCache
 from repro.cache.oracle import OracleCache
-from repro.cache.sram_cache import (
-    make_fa_sram_cache,
-    make_pure_nvm_cache,
-    make_sram_cache,
-)
+from repro.cache.tag_array import sets_and_ways
 from repro.core.fuse_cache import FuseCache, FuseFeatures
 
 __all__ = [
@@ -226,27 +223,26 @@ def make_l1d(config: L1DConfig) -> L1DCacheModel:
     Raises:
         ValueError: for an unknown ``kind``.
     """
-    if config.kind == "sram":
-        return make_sram_cache(
-            size_kb=config.sram_kb,
-            assoc=config.sram_assoc,
+    if config.kind in ("sram", "fa_sram", "nvm"):
+        # One BaseCache, three geometries.  FA-SRAM's timing is idealised
+        # (single-cycle search at 256 ways); L1-NVM is Figure 3's pure
+        # STT-MRAM L1D, whose 5-cycle writes occupy the bank end to end.
+        if config.kind == "nvm":
+            num_sets, assoc = sets_and_ways(config.stt_kb, config.stt_assoc)
+            write_latency, technology = 5, "stt"
+        else:
+            num_sets, assoc = sets_and_ways(
+                config.sram_kb,
+                config.sram_assoc if config.kind == "sram" else None,
+            )
+            write_latency, technology = 1, "sram"
+        return BaseCache(
+            num_sets=num_sets,
+            assoc=assoc,
+            write_latency=write_latency,
             mshr_entries=config.mshr_entries,
             mshr_max_merge=config.mshr_max_merge,
-            name=config.name,
-        )
-    if config.kind == "fa_sram":
-        return make_fa_sram_cache(
-            size_kb=config.sram_kb,
-            mshr_entries=config.mshr_entries,
-            mshr_max_merge=config.mshr_max_merge,
-            name=config.name,
-        )
-    if config.kind == "nvm":
-        return make_pure_nvm_cache(
-            size_kb=config.stt_kb,
-            assoc=config.stt_assoc,
-            mshr_entries=config.mshr_entries,
-            mshr_max_merge=config.mshr_max_merge,
+            technology=technology,
             name=config.name,
         )
     if config.kind == "by_nvm":

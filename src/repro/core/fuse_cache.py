@@ -58,8 +58,9 @@ from repro.cache.interface import (
     Rejection,
 )
 from repro.cache.mshr import MSHR
-from repro.cache.request import BLOCK_SIZE, MemoryRequest
-from repro.cache.tag_array import EvictedLine, TagArray
+from repro.cache.replacement import FIFOPolicy
+from repro.cache.request import MemoryRequest
+from repro.cache.tag_array import EvictedLine, TagArray, sets_and_ways
 from repro.core.approx_assoc import ApproximateAssociativeArray
 from repro.core.arbitration import Arbiter, Destination
 from repro.core.read_level_predictor import ReadLevel, ReadLevelPredictor
@@ -114,7 +115,8 @@ class FuseCache(L1DCacheModel):
         features: which FUSE mechanisms are enabled.
         sram_read/write_latency: 1/1 cycles (Table I).
         stt_read/write_latency: 1/5 cycles (Table I).
-        swap_entries: swap-buffer registers (3).
+        swap_entries: swap-buffer registers (3; at least 1 when
+            non-blocking).
         tag_queue_capacity: pending STT operations (16).
         num_cbfs / cbf_counters / cbf_hashes: approximation parameters
             (128 CBFs x 16 2-bit counters, 3 hash functions).
@@ -148,34 +150,30 @@ class FuseCache(L1DCacheModel):
         name: str = "Dy-FUSE",
     ) -> None:
         super().__init__()
+        if features.non_blocking and swap_entries < 1:
+            raise ValueError(
+                f"swap_entries must be >= 1 for a non-blocking FUSE cache, "
+                f"got {swap_entries}"
+            )
         self.name = name
         self.features = features
 
-        sram_lines = sram_kb * 1024 // BLOCK_SIZE
-        if sram_lines % sram_assoc:
-            raise ValueError(f"{sram_kb}KB SRAM not divisible by {sram_assoc} ways")
-        self.sram = TagArray(sram_lines // sram_assoc, sram_assoc, "lru")
-
-        stt_lines = stt_kb * 1024 // BLOCK_SIZE
+        self.sram = TagArray(*sets_and_ways(sram_kb, sram_assoc))
+        self.stt = TagArray(
+            *sets_and_ways(stt_kb, None if features.approx_assoc else stt_assoc),
+            FIFOPolicy,
+        )
+        self.approx: Optional[ApproximateAssociativeArray] = None
         if features.approx_assoc:
-            self.stt = TagArray(1, stt_lines, "fifo")
-            self.approx: Optional[ApproximateAssociativeArray] = (
-                ApproximateAssociativeArray(
-                    num_ways=stt_lines,
-                    num_cbfs=min(num_cbfs, max(1, stt_lines // num_comparators)),
-                    num_hashes=cbf_hashes,
-                    cbf_counters=cbf_counters,
-                    num_comparators=num_comparators,
-                    exact=exact_fa,
-                )
+            stt_lines = self.stt.num_lines
+            self.approx = ApproximateAssociativeArray(
+                num_ways=stt_lines,
+                num_cbfs=min(num_cbfs, max(1, stt_lines // num_comparators)),
+                num_hashes=cbf_hashes,
+                cbf_counters=cbf_counters,
+                num_comparators=num_comparators,
+                exact=exact_fa,
             )
-        else:
-            if stt_lines % stt_assoc:
-                raise ValueError(
-                    f"{stt_kb}KB STT not divisible by {stt_assoc} ways"
-                )
-            self.stt = TagArray(stt_lines // stt_assoc, stt_assoc, "fifo")
-            self.approx = None
 
         self.mshr = MSHR(mshr_entries, mshr_max_merge)
         self.miss_path = MissPath(self.mshr, self.stats, self._charged)
@@ -234,8 +232,6 @@ class FuseCache(L1DCacheModel):
             )
 
         self._cache_busy_until = 0    # blocking mode: whole-cache gate
-        #: fill-time predicted levels keyed by block, applied at fill
-        self._pending_levels: dict = {}
 
     # ==================================================================
     # helpers
@@ -343,26 +339,19 @@ class FuseCache(L1DCacheModel):
 
     # ==================================================================
     # eviction / migration machinery
-    def _install_in_stt(
-        self,
-        block_addr: int,
-        cycle: int,
-        dirty: bool,
-        fill_pc: int,
-        predicted_level: Optional[object],
-        writes_observed: int = 0,
-        reads_observed: int = 0,
-    ) -> Tuple[int, Tuple[int, ...]]:
-        """Install a line into the STT tag array (data write priced by the
-        caller).  Returns ``(way, writebacks)`` from any displaced victim.
+    def _install_in_stt(self, moved: EvictedLine) -> Tuple[int, ...]:
+        """Install a line leaving SRAM into the STT tag array, residency
+        counters and all (data write priced by the caller).  Returns the
+        writebacks of any displaced victim.
         """
+        block_addr = moved.block_addr
         set_idx, way, displaced = self.stt.install(
-            block_addr, cycle, dirty=dirty, fill_pc=fill_pc,
-            predicted_level=predicted_level,
+            block_addr, dirty=moved.dirty, fill_pc=moved.fill_pc,
+            predicted_level=moved.predicted_level,
         )
         line = self.stt.line(set_idx, way)
-        line.writes_observed = writes_observed
-        line.reads_observed = reads_observed
+        line.writes_observed = moved.writes_observed
+        line.reads_observed = moved.reads_observed
         writebacks: Tuple[int, ...] = ()
         if displaced is not None:
             if self.approx is not None:
@@ -370,7 +359,7 @@ class FuseCache(L1DCacheModel):
             writebacks = self.l2_sink.evict(displaced)
         if self.approx is not None:
             self.approx.note_install(block_addr, way)
-        return way, writebacks
+        return writebacks
 
     def _handle_sram_eviction(
         self, evicted: EvictedLine, cycle: int
@@ -389,14 +378,7 @@ class FuseCache(L1DCacheModel):
         self.stats.stt_writes += 1
         if self.features.non_blocking:
             completion = self.tag_queue.enqueue("migrate", cycle)
-            self.swap.stage(
-                evicted.block_addr,
-                cycle,
-                release_cycle=completion,
-                dirty=evicted.dirty,
-                fill_pc=evicted.fill_pc,
-                predicted_level=evicted.predicted_level,
-            )
+            self.swap.stage(evicted.block_addr, cycle, completion)
         else:
             # Hybrid: the STT write blocks the whole cache.
             start = max(cycle, self.stt_port.busy_until)
@@ -404,16 +386,7 @@ class FuseCache(L1DCacheModel):
             self.stt_port.busy_until = completion
             self._cache_busy_until = max(self._cache_busy_until, completion)
             self.stats.stt_write_stall_cycles += completion - cycle
-        _, writebacks = self._install_in_stt(
-            evicted.block_addr,
-            cycle,
-            dirty=evicted.dirty,
-            fill_pc=evicted.fill_pc,
-            predicted_level=evicted.predicted_level,
-            writes_observed=evicted.writes_observed,
-            reads_observed=evicted.reads_observed,
-        )
-        return writebacks
+        return self._install_in_stt(evicted)
 
     # ==================================================================
     def _observe(self, request: MemoryRequest) -> None:
@@ -461,7 +434,7 @@ class FuseCache(L1DCacheModel):
             return AccessResult(AccessOutcome.HIT, ready, (), block)
 
         # ---- 2. swap buffer ----------------------------------------------
-        if self.features.non_blocking and self.swap.touch(block, cycle, is_write):
+        if self.features.non_blocking and self.swap.contains(block, cycle):
             stats.hits += 1
             stats.swap_buffer_hits += 1
             if is_write:
@@ -566,7 +539,6 @@ class FuseCache(L1DCacheModel):
 
         _, _, displaced = self.sram.install(
             block,
-            cycle,
             dirty=True,  # the store makes it dirty immediately
             fill_pc=snapshot.fill_pc,
             predicted_level=ReadLevel.WM,
@@ -601,39 +573,35 @@ class FuseCache(L1DCacheModel):
             hazard = self._sram_eviction_hazard(block, cycle)
             if hazard is not None:
                 return hazard
-            _, _, evicted = self.sram.reserve(block, cycle)
+            _, _, evicted = self.sram.reserve(block)
             if evicted is not None:
                 writebacks = self._handle_sram_eviction(evicted, cycle)
             destination = "sram"
         else:
             if not self.stt.can_reserve(block):
                 return self.miss_path.reject(block, cycle)
-            _, way, evicted = self.stt.reserve(block, cycle)
+            _, _, evicted = self.stt.reserve(block)
             if evicted is not None:
                 if self.approx is not None:
                     self.approx.note_evict(evicted.block_addr)
                 writebacks = self.l2_sink.evict(evicted)
             destination = "stt"
 
-        entry = self.miss_path.allocate(
-            block, request, destination=destination, cycle=cycle
-        )
-        entry.reserved_way = -1
+        entry = self.miss_path.allocate(block, request, destination=destination)
         # Remember the level that motivated the placement; scored on
         # eviction (Figure 16).
-        self._pending_levels[block] = decision.level
+        entry.predicted_level = decision.level
         return AccessResult(AccessOutcome.MISS, cycle, writebacks, block)
 
     # ------------------------------------------------------------------
     def fill(self, block_addr: int, cycle: int) -> FillResult:
         entry = self.miss_path.release(block_addr)
-        level = self._pending_levels.pop(block_addr, None)
+        level = entry.predicted_level
         primary = entry.requests[0]
 
         if entry.destination == "sram":
             set_idx, way = self.sram.fill(
                 block_addr,
-                cycle,
                 is_write=primary.is_write,
                 fill_pc=primary.pc,
                 predicted_level=level,
@@ -643,7 +611,6 @@ class FuseCache(L1DCacheModel):
         else:
             set_idx, way = self.stt.fill(
                 block_addr,
-                cycle,
                 is_write=primary.is_write,
                 fill_pc=primary.pc,
                 predicted_level=level,

@@ -17,35 +17,19 @@ Figure 15).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 __all__ = [
-    "SwapBuffer", "SwapBufferStats",
+    "SwapBuffer",
 ]
-
-
-@dataclass(slots=True)
-class SwapBufferStats:
-    """Lifetime counters for one swap buffer."""
-
-    staged: int = 0
-    hits: int = 0
-    write_hits: int = 0
-    full_rejections: int = 0
-
-
-@dataclass(slots=True)
-class _SwapEntry:
-    block_addr: int
-    dirty: bool
-    fill_pc: int
-    predicted_level: Optional[object]
-    release_cycle: int
 
 
 class SwapBuffer:
     """A tiny fully-associative buffer of in-flight SRAM->STT migrations.
+
+    An entry is just its release cycle: the line's tag, dirty bit, fill PC
+    and predicted level already sit in the STT tag array, installed when
+    the line was staged.
 
     Args:
         num_entries: 128-byte data registers (Table I: 3).
@@ -55,15 +39,15 @@ class SwapBuffer:
         if num_entries < 0:
             raise ValueError("num_entries must be >= 0")
         self.num_entries = num_entries
-        self.stats = SwapBufferStats()
-        self._entries: Dict[int, _SwapEntry] = {}
+        #: parked block -> release cycle
+        self._entries: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def _prune(self, cycle: int) -> None:
         released = [
             addr
-            for addr, entry in self._entries.items()
-            if entry.release_cycle <= cycle
+            for addr, release_cycle in self._entries.items()
+            if release_cycle <= cycle
         ]
         for addr in released:
             del self._entries[addr]
@@ -82,23 +66,16 @@ class SwapBuffer:
     def next_release(self) -> int:
         """Earliest release cycle of a parked line (the first cycle a
         full buffer has a free register again)."""
-        return min(entry.release_cycle for entry in self._entries.values())
+        return min(self._entries.values())
 
     def contains(self, block_addr: int, cycle: int) -> bool:
-        """True when *block_addr* is parked in the buffer at *cycle*."""
+        """True when *block_addr* is parked in the buffer at *cycle* (a
+        request for it is served at register speed)."""
         self._prune(cycle)
         return block_addr in self._entries
 
     # ------------------------------------------------------------------
-    def stage(
-        self,
-        block_addr: int,
-        cycle: int,
-        release_cycle: int,
-        dirty: bool = False,
-        fill_pc: int = 0,
-        predicted_level: Optional[object] = None,
-    ) -> None:
+    def stage(self, block_addr: int, cycle: int, release_cycle: int) -> None:
         """Park an evicted line until its STT-MRAM write completes.
 
         Args:
@@ -109,38 +86,5 @@ class SwapBuffer:
             RuntimeError: when the buffer is full (check-then-commit).
         """
         if self.is_full(cycle):
-            self.stats.full_rejections += 1
             raise RuntimeError("swap buffer stage() on a full buffer")
-        self._entries[block_addr] = _SwapEntry(
-            block_addr=block_addr,
-            dirty=dirty,
-            fill_pc=fill_pc,
-            predicted_level=predicted_level,
-            release_cycle=release_cycle,
-        )
-        self.stats.staged += 1
-
-    def touch(self, block_addr: int, cycle: int, is_write: bool) -> bool:
-        """Serve a request from the buffer; True when it hit.
-
-        A write marks the parked copy dirty (the updated data will land in
-        STT-MRAM when the "F" command drains).
-        """
-        self._prune(cycle)
-        entry = self._entries.get(block_addr)
-        if entry is None:
-            return False
-        self.stats.hits += 1
-        if is_write:
-            entry.dirty = True
-            self.stats.write_hits += 1
-        return True
-
-    def entry_metadata(self, block_addr: int) -> Optional[_SwapEntry]:
-        """Metadata of a parked line (used when the line lands in STT)."""
-        return self._entries.get(block_addr)
-
-    def pending_blocks(self, cycle: int) -> List[int]:
-        """Blocks currently parked (diagnostics and tests)."""
-        self._prune(cycle)
-        return list(self._entries)
+        self._entries[block_addr] = release_cycle

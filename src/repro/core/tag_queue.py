@@ -23,24 +23,11 @@ latency``; queue occupancy is the set of operations not yet completed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Tuple
 
 __all__ = [
-    "TagQueue", "TagQueueStats",
+    "TagQueue",
 ]
-
-
-@dataclass(slots=True)
-class TagQueueStats:
-    """Lifetime counters for one tag queue."""
-
-    enqueued_reads: int = 0
-    enqueued_fills: int = 0
-    enqueued_migrations: int = 0
-    flushes: int = 0
-    flush_drain_cycles: int = 0
-    full_rejections: int = 0
 
 
 class TagQueue:
@@ -66,7 +53,6 @@ class TagQueue:
         self.capacity = capacity
         self.read_latency = read_latency
         self.write_latency = write_latency
-        self.stats = TagQueueStats()
         #: completion cycles of pending operations, oldest first
         self._pending: Deque[int] = deque()
         self._free_at = 0
@@ -90,10 +76,6 @@ class TagQueue:
         """Completion cycle of the oldest pending operation (the first
         cycle a full queue has a free slot again)."""
         return self._pending[0]
-
-    def free_at(self) -> int:
-        """Cycle at which the bank drains everything currently queued."""
-        return self._free_at
 
     # ------------------------------------------------------------------
     def _latency_of(self, op: str, extra_search_cycles: int) -> int:
@@ -128,7 +110,6 @@ class TagQueue:
             (check-then-commit).
         """
         if self.is_full(cycle) and not force:
-            self.stats.full_rejections += 1
             raise RuntimeError("tag queue enqueue() on a full queue")
         start = max(cycle, self._free_at)
         completion = start + self._latency_of(op, extra_search_cycles)
@@ -140,12 +121,6 @@ class TagQueue:
         else:
             self._free_at = completion
         self._pending.append(completion)
-        if op == "read":
-            self.stats.enqueued_reads += 1
-        elif op == "fill":
-            self.stats.enqueued_fills += 1
-        else:
-            self.stats.enqueued_migrations += 1
         return completion
 
     def occupy_until(self, cycle: int) -> None:
@@ -166,8 +141,6 @@ class TagQueue:
         self._prune(cycle)
         drained = len(self._pending)
         drain_done = max(cycle, self._free_at)
-        self.stats.flushes += 1
-        self.stats.flush_drain_cycles += drain_done - cycle
         self._pending.clear()
         # The bank is busy until the drain finishes.
         self._free_at = drain_done

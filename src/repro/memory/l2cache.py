@@ -31,7 +31,7 @@ class L2Bank:
     def __init__(self, bank_id: int, config: GPUConfig) -> None:
         self.bank_id = bank_id
         self.config = config
-        self.tags = TagArray(config.l2_sets, config.l2_assoc, "lru")
+        self.tags = TagArray(config.l2_sets, config.l2_assoc)
         self._busy_until = 0
         self.hits = 0
         self.misses = 0
@@ -78,9 +78,7 @@ class L2Bank:
         self.misses += 1
         victim_block = -1
         if self.tags.can_reserve(local):
-            _, _, evicted = self.tags.install(
-                local, cycle, dirty=is_write
-            )
+            _, _, evicted = self.tags.install(local, dirty=is_write)
             if evicted is not None and evicted.dirty:
                 # restore the interleave bits for the DRAM address
                 victim_block = (

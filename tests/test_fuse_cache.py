@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.interface import AccessOutcome
+from repro.core.factory import l1d_config, make_l1d
 from repro.core.fuse_cache import FuseCache, FuseFeatures
 from repro.core.read_level_predictor import ReadLevelPredictor
 from tests.conftest import load, store
@@ -63,6 +64,19 @@ class TestConfigurationLadder:
         with pytest.raises(ValueError):
             FuseCache(sram_kb=3, sram_assoc=7)
 
+    @pytest.mark.parametrize("name", ["Base-FUSE", "FA-FUSE", "Dy-FUSE"])
+    def test_zero_swap_entries_rejected(self, name):
+        """A non-blocking config without swap registers could never stage
+        an SRAM->STT eviction; it is refused when built, not on the first
+        eviction."""
+        config = l1d_config(name).with_overrides(swap_entries=0)
+        with pytest.raises(ValueError, match="swap_entries"):
+            make_l1d(config)
+
+    def test_hybrid_needs_no_swap_entries(self):
+        cache = make_l1d(l1d_config("Hybrid").with_overrides(swap_entries=0))
+        assert cache.swap.num_entries == 0
+
 
 class TestBasicPaths:
     def test_miss_fill_hit(self):
@@ -102,9 +116,10 @@ class TestBasicPaths:
         for block in (0, 16, 32):
             cache.access(load(byte_addr(block)), block)
             cache.fill(block, block + 50)
-        queued_before = cache.tag_queue.stats.enqueued_reads
-        cache.access(load(byte_addr(0)), 10_000)
-        assert cache.tag_queue.stats.enqueued_reads == queued_before + 1
+        assert cache.tag_queue.occupancy(10_000) == 0
+        result = cache.access(load(byte_addr(0)), 10_000)
+        assert result.ready_cycle == 10_001
+        assert cache.tag_queue.occupancy(10_000) == 1
         assert cache.stats.stt_hits >= 1
 
 
@@ -122,11 +137,10 @@ class TestWriteHitOnSTT:
     def test_write_in_place_flushes_queue(self):
         cache = make_cache(FuseFeatures.fa_fuse())
         self._fill_into_stt(cache, 0)
-        flushes_before = cache.tag_queue.stats.flushes
+        flushes_before = cache.stats.tag_queue_flushes
         result = cache.access(store(byte_addr(0)), 50_000)
         assert result.outcome is AccessOutcome.HIT
-        assert cache.tag_queue.stats.flushes == flushes_before + 1
-        assert cache.stats.tag_queue_flushes >= 1
+        assert cache.stats.tag_queue_flushes == flushes_before + 1
 
     def test_dy_fuse_migrates_back_to_sram(self):
         cache = make_cache(FuseFeatures.dy_fuse())

@@ -1,16 +1,9 @@
-"""Unit tests for replacement policies."""
+"""Unit tests for the LRU and FIFO replacement policies."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cache.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    PseudoLRUPolicy,
-    RandomPolicy,
-    known_policies,
-    make_replacement_policy,
-)
+from repro.cache.replacement import FIFOPolicy, LRUPolicy
 
 
 class TestLRU:
@@ -69,52 +62,8 @@ class TestFIFO:
         assert fifo.select_victim(0, [0, 1]) == 1
 
 
-class TestPseudoLRU:
-    def test_points_away_from_recent(self):
-        plru = PseudoLRUPolicy(1, 4)
-        for way in range(4):
-            plru.on_fill(0, way)
-        plru.on_access(0, 0)
-        victim = plru.select_victim(0, [0, 1, 2, 3])
-        assert victim != 0
-
-    def test_falls_back_when_choice_excluded(self):
-        plru = PseudoLRUPolicy(1, 4)
-        for way in range(4):
-            plru.on_fill(0, way)
-        victim = plru.select_victim(0, [1])
-        assert victim == 1
-
-    def test_non_power_of_two_assoc(self):
-        plru = PseudoLRUPolicy(1, 3)
-        for way in range(3):
-            plru.on_fill(0, way)
-        assert plru.select_victim(0, [0, 1, 2]) in (0, 1, 2)
-
-
-class TestRandom:
-    def test_deterministic_with_seed(self):
-        a = RandomPolicy(1, 8, seed=7)
-        b = RandomPolicy(1, 8, seed=7)
-        picks_a = [a.select_victim(0, list(range(8))) for _ in range(20)]
-        picks_b = [b.select_victim(0, list(range(8))) for _ in range(20)]
-        assert picks_a == picks_b
-
-    def test_only_candidates_selected(self):
-        policy = RandomPolicy(1, 8)
-        for _ in range(50):
-            assert policy.select_victim(0, [3, 5]) in (3, 5)
-
-
 class TestFactory:
-    @pytest.mark.parametrize("name", list(known_policies()))
-    def test_all_known_policies_instantiate(self, name):
-        policy = make_replacement_policy(name, 4, 4)
-        assert policy.num_sets == 4
-
-    def test_unknown_policy_raises(self):
-        with pytest.raises(ValueError, match="unknown replacement"):
-            make_replacement_policy("belady", 4, 4)
+    """Policy construction."""
 
     def test_invalid_geometry_raises(self):
         with pytest.raises(ValueError):

@@ -44,12 +44,6 @@ ENGINES = ("L1-SRAM", "FA-SRAM", "L1-NVM", "By-NVM", "Oracle", "Hybrid",
 #: re-presentations checked when the floor is NEVER
 STRUCTURAL_SLOTS = 6
 
-#: diagnostic search counters of the associativity approximation; they
-#: are not part of the cache's state or its ``CacheStats``
-_SEARCH_COUNTERS = ("tests", "total_iterations", "total_searches",
-                    "false_positive_groups")
-
-
 def _state(cache, cycle: int) -> bytes:
     """*cache*'s complete state as of *cycle*, counters left out: the
     time-based queues are pruned to *cycle* first, so only changes an
@@ -58,22 +52,15 @@ def _state(cache, cycle: int) -> bytes:
         queue = getattr(cache, part, None)
         if queue is not None:
             queue.occupancy(cycle)
-    counters = [(cache.stats, tuple(cache.stats.as_dict()))]
-    if getattr(cache, "approx", None) is not None:
-        counters.append((cache.approx, _SEARCH_COUNTERS))
-    saved = [
-        (owner, {name: getattr(owner, name) for name in names})
-        for owner, names in counters
-    ]
-    for owner, names in counters:
-        for name in names:
-            setattr(owner, name, 0)
+    stats = cache.stats
+    saved = stats.as_dict()
+    for name in saved:
+        setattr(stats, name, 0)
     try:
         return pickle.dumps(cache)
     finally:
-        for owner, values in saved:
-            for name, value in values.items():
-                setattr(owner, name, value)
+        for name, value in saved.items():
+            setattr(stats, name, value)
 
 
 def _delta(after: dict, before: dict) -> dict:

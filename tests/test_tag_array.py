@@ -3,7 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.tag_array import TagArray
+from repro.cache.replacement import (
+    _HEAP_ASSOC_THRESHOLD,
+    FIFOPolicy,
+    LRUPolicy,
+)
+from repro.cache.tag_array import TagArray, sets_and_ways
 
 
 class TestLookup:
@@ -117,7 +122,7 @@ class TestPeekVictim:
 
 class TestGeometry:
     def test_fully_associative_single_set(self):
-        tags = TagArray(1, 512, "fifo")
+        tags = TagArray(1, 512, FIFOPolicy)
         for i in range(512):
             tags.install(0x1000 + i)
         assert tags.occupancy() == 512
@@ -165,3 +170,63 @@ def test_occupancy_never_exceeds_capacity(blocks):
         if way is None:
             tags.install(block)
     assert tags.occupancy() <= tags.num_lines
+
+
+#: 4 ways take the candidate-scan path, 32 the oldest-stamp heap
+PEEK_ASSOCS = (4, 32)
+assert PEEK_ASSOCS[0] < _HEAP_ASSOC_THRESHOLD <= PEEK_ASSOCS[1]
+
+#: reserve-heavy, over three times the ways' worth of blocks at 32 ways,
+#: so that full sets with fills pending are common on both paths
+PEEK_OP = st.tuples(
+    st.sampled_from(["reserve"] * 3 + ["fill"] * 2 + ["touch", "invalidate"]),
+    st.integers(min_value=0, max_value=95),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    policy=st.sampled_from([LRUPolicy, FIFOPolicy]),
+    assoc=st.sampled_from(PEEK_ASSOCS),
+    ops=st.lists(PEEK_OP, max_size=300),
+)
+def test_peek_victim_matches_reserve(policy, assoc, ops):
+    """Property: :meth:`TagArray.peek_victim` previews exactly the victim
+    the next :meth:`TagArray.reserve` picks, with fills pending, lines
+    touched and ways punched free in between -- the lockstep FUSE's
+    SRAM eviction pre-check relies on."""
+    tags = TagArray(1, assoc, policy)
+    pending = []
+    for op, pick in ops:
+        block = 0x1000 + pick
+        _, way = tags.lookup(block)
+        if op == "reserve":
+            if way is not None or tags.probe_reserved(block):
+                continue
+            can, victim = tags.peek_victim(block)
+            assert can == tags.can_reserve(block)
+            if not can:
+                continue
+            expected = None if victim is None else victim.block_addr
+            _, _, evicted = tags.reserve(block)
+            assert (None if evicted is None else evicted.block_addr) == \
+                expected
+            pending.append(block)
+        elif op == "fill" and pending:
+            tags.fill(pending.pop(pick % len(pending)))
+        elif op == "touch" and way is not None:
+            tags.touch(0, way, is_write=pick % 2 == 1)
+        elif op == "invalidate" and way is not None:
+            tags.invalidate(block)
+
+
+class TestSetsAndWays:
+    def test_set_associative(self):
+        assert sets_and_ways(32, 4) == (64, 4)
+
+    def test_fully_associative(self):
+        assert sets_and_ways(64, None) == (1, 512)
+
+    def test_indivisible_rejected(self):
+        with pytest.raises(ValueError, match="3KB is not divisible into 7"):
+            sets_and_ways(3, 7)
